@@ -3,8 +3,9 @@
 // unchanged (so the human-readable bench log still shows in the terminal
 // and in CI) while parsing benchmark result lines, and writes a JSON
 // document with the median ns/op and derived ops/sec for every benchmark
-// seen — medians because with -count>1 the repeated lines of one benchmark
-// fold into a single robust figure.
+// seen, plus the median B/op and allocs/op where the lines report them —
+// medians because with -count>1 the repeated lines of one benchmark fold
+// into a single robust figure.
 //
 // Usage:
 //
@@ -40,8 +41,14 @@ import (
 	"strings"
 )
 
-// benchLine matches e.g. "BenchmarkSingleSim-8  1  232123456 ns/op  12 B/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+)\s+ns/op`)
+// benchLine matches e.g. "BenchmarkSingleSim-8  1  232123456 ns/op  12 B/op";
+// bytesCol and allocsCol pick the optional memory columns b.ReportAllocs
+// or -benchmem append.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+)\s+ns/op`)
+	bytesCol  = regexp.MustCompile(`\s([0-9.]+)\s+B/op\b`)
+	allocsCol = regexp.MustCompile(`\s([0-9.]+)\s+allocs/op\b`)
+)
 
 // Entry is one benchmark's summary.
 type Entry struct {
@@ -54,6 +61,11 @@ type Entry struct {
 	// PerSec is 1e9 / MedianNsPerOp — operations per second; for the
 	// whole-simulation benchmarks, simulations per second.
 	PerSec float64 `json:"per_sec"`
+	// MedianBytesPerOp and MedianAllocsPerOp are the medians of the B/op
+	// and allocs/op columns over the samples that carry them, absent when
+	// none does. They are pointers so a measured 0 is still recorded.
+	MedianBytesPerOp  *float64 `json:"median_bytes_per_op,omitempty"`
+	MedianAllocsPerOp *float64 `json:"median_allocs_per_op,omitempty"`
 }
 
 // Doc is the written BENCH.json shape.
@@ -68,6 +80,79 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// summarize copies the bench log in r to w line by line and folds its
+// result lines into one Entry per benchmark, in first-seen order.
+func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
+	type columns struct{ ns, bytes, allocs []float64 }
+	samples := make(map[string]*columns)
+	var order []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(w, line)
+		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			continue
+		}
+		col := samples[m[1]]
+		if col == nil {
+			col = &columns{}
+			samples[m[1]] = col
+			order = append(order, m[1])
+		}
+		col.ns = append(col.ns, ns)
+		col.bytes = appendColumn(col.bytes, bytesCol, line)
+		col.allocs = appendColumn(col.allocs, allocsCol, line)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading stdin: %w", err)
+	}
+	if len(order) == 0 {
+		return nil, fmt.Errorf("no benchmark result lines on stdin")
+	}
+	entries := make([]Entry, 0, len(order))
+	for _, name := range order {
+		col := samples[name]
+		med := median(col.ns)
+		perSec := 0.0
+		if med > 0 {
+			perSec = 1e9 / med
+		}
+		entries = append(entries, Entry{
+			Name:              name,
+			Samples:           len(col.ns),
+			MedianNsPerOp:     med,
+			PerSec:            perSec,
+			MedianBytesPerOp:  medianOrNil(col.bytes),
+			MedianAllocsPerOp: medianOrNil(col.allocs),
+		})
+	}
+	return entries, nil
+}
+
+// appendColumn appends the value of the column re matches in line, if any.
+func appendColumn(xs []float64, re *regexp.Regexp, line string) []float64 {
+	if m := re.FindStringSubmatch(line); m != nil {
+		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+			return append(xs, v)
+		}
+	}
+	return xs
+}
+
+func medianOrNil(xs []float64) *float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	m := median(xs)
+	return &m
 }
 
 // loadDoc reads and decodes one summary file.
@@ -154,52 +239,14 @@ func main() {
 		os.Exit(runGuard(os.Stderr, *baseline, *current, *guard, *maxDrop))
 	}
 
-	samples := make(map[string][]float64)
-	var order []string
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	w := bufio.NewWriter(os.Stdout)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Fprintln(w, line)
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		if _, seen := samples[m[1]]; !seen {
-			order = append(order, m[1])
-		}
-		samples[m[1]] = append(samples[m[1]], ns)
-	}
+	entries, err := summarize(os.Stdin, w)
 	w.Flush()
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "renuca-benchjson: reading stdin:", err)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)
 		os.Exit(1)
 	}
-	if len(order) == 0 {
-		fmt.Fprintln(os.Stderr, "renuca-benchjson: no benchmark result lines on stdin")
-		os.Exit(1)
-	}
-
-	doc := Doc{Benchmarks: make([]Entry, 0, len(order))}
-	for _, name := range order {
-		xs := samples[name]
-		med := median(xs)
-		perSec := 0.0
-		if med > 0 {
-			perSec = 1e9 / med
-		}
-		doc.Benchmarks = append(doc.Benchmarks, Entry{
-			Name:          name,
-			Samples:       len(xs),
-			MedianNsPerOp: med,
-			PerSec:        perSec,
-		})
-	}
+	doc := Doc{Benchmarks: entries}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)

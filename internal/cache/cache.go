@@ -45,30 +45,35 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// way is one line frame, packed to 16 bytes so an 8-way set spans two CPU
-// cache lines instead of three: the tag plus a meta word holding the LRU
-// stamp in the upper bits and the dirty/valid flags in the low two. LRU
-// stamps are unique per cache (the tick counter increments on every touch),
-// so 62 bits never wrap in practice.
+// way is one line frame, packed to 8 bytes so an 8-way set fills one CPU
+// cache line and a 16-way set two. Zero means empty in both fields, so a
+// freshly allocated (or cleared) frame array is an empty cache:
+//   - tag stores the line tag plus one, and 0 marks an empty frame. The
+//     bias costs one value, so a tag may be at most MaxTagBits wide
+//     (CheckTagWidth validates a geometry against an address width);
+//   - meta holds lru<<1 | dirty, where lru is a stamp of the cache's 30-bit
+//     LRU clock (see stamp). An empty frame carries meta 0.
 type way struct {
-	tag  uint64
-	meta uint64 // lru<<2 | dirty<<1 | valid
+	tag  uint32
+	meta uint32
 }
 
 const (
-	wayValid = 1 << 0
-	wayDirty = 1 << 1
-	lruShift = 2
+	wayDirty = 1 << 0
+	lruShift = 1
 
-	// invalidTag marks empty/invalidated frames so probe loops need a
-	// single tag compare per way: simulated physical addresses stay below
-	// 2^41 (16 cores above bit 36), so no reachable tag equals ^0.
-	invalidTag = ^uint64(0)
+	// clockMax is the largest LRU stamp; the touch that would pass it
+	// renormalises the cache's stamps first.
+	clockMax = 1<<30 - 1
+
+	// MaxTagBits is the widest line tag a frame can store: tag+1 must fit
+	// the 32-bit tag field.
+	MaxTagBits = 31
 )
 
-func (w way) valid() bool { return w.meta&wayValid != 0 }
+func (w way) valid() bool { return w.tag != 0 }
 func (w way) dirty() bool { return w.meta&wayDirty != 0 }
-func (w way) lru() uint64 { return w.meta >> lruShift }
+func (w way) lru() uint32 { return w.meta >> lruShift }
 
 // Victim describes a line displaced by Fill or removed by Invalidate.
 type Victim struct {
@@ -89,7 +94,7 @@ type Cache struct {
 	setBits  uint   // log2(numSets), precomputed off the probe path
 	ways     uint64 // uint64(cfg.Ways), hoisted off the probe path
 	lineBits uint
-	tick     uint64
+	tick     uint32 // LRU clock: the newest stamp handed out, at most clockMax
 	stats    Stats
 	san      sanState // occupancy-conservation counters; zero-size without the simcheck tag
 }
@@ -127,6 +132,23 @@ func resolve(cfg Config) (geometry, error) {
 	return g, nil
 }
 
+// CheckTagWidth validates cfg's geometry and reports an error when the
+// line tags of addrBits-wide addresses — the bits above the set index and
+// line offset — are wider than the MaxTagBits a frame stores. A cache fed
+// such addresses would silently alias distinct lines onto one tag.
+func CheckTagWidth(cfg Config, addrBits uint) error {
+	g, err := resolve(cfg)
+	if err != nil {
+		return err
+	}
+	offset := g.lineBits + uint(bitsFor(g.numSets))
+	if addrBits > offset && addrBits-offset > MaxTagBits {
+		return fmt.Errorf("cache %s: %d-bit addresses leave %d tag bits, more than the %d a frame stores",
+			cfg.Name, addrBits, addrBits-offset, MaxTagBits)
+	}
+	return nil
+}
+
 // Backing is an externally-owned frame array a Cache can adopt instead of
 // allocating its own (see NewWindowed). Its elements are opaque outside
 // this package; callers size one with make(cache.Backing, n) where n comes
@@ -154,10 +176,9 @@ func New(cfg Config) (*Cache, error) {
 
 // NewWindowed is New adopting an externally-owned frame window: backing
 // must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingLines(cfg) frames. The window is reset to the empty-cache
-// state on adoption — every frame invalidated, recency cleared — so reusing
-// a window still dirty from a retired simulation is indistinguishable from
-// a fresh allocation.
+// hold BackingLines(cfg) frames. The window is cleared on adoption — every
+// frame empty, recency reset — so reusing a window still dirty from a
+// retired simulation is indistinguishable from a fresh allocation.
 func NewWindowed(cfg Config, backing Backing) (*Cache, error) {
 	g, err := resolve(cfg)
 	if err != nil {
@@ -168,9 +189,8 @@ func NewWindowed(cfg Config, backing Backing) (*Cache, error) {
 	} else if uint64(len(backing)) != g.lines {
 		return nil, fmt.Errorf("cache %s: backing window holds %d frames, geometry needs %d",
 			cfg.Name, len(backing), g.lines)
-	}
-	for i := range backing {
-		backing[i] = way{tag: invalidTag}
+	} else {
+		clear(backing)
 	}
 	return &Cache{
 		cfg:      cfg,
@@ -213,9 +233,13 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 	return (addr >> c.lineBits) & c.setMask
 }
 
-func (c *Cache) locate(addr uint64) (setBase uint64, tag uint64) {
+// locate returns the first frame of addr's set and the tag a frame holding
+// addr stores (line tag plus one; see way).
+func (c *Cache) locate(addr uint64) (setBase uint64, tag uint32) {
 	lineAddr := addr >> c.lineBits
-	return (lineAddr & c.setMask) * c.ways, lineAddr >> c.setBits
+	lineTag := lineAddr >> c.setBits
+	c.sanCheckTag(addr, lineTag)
+	return (lineAddr & c.setMask) * c.ways, uint32(lineTag) + 1
 }
 
 func bitsFor(n uint64) int {
@@ -225,6 +249,49 @@ func bitsFor(n uint64) int {
 		b++
 	}
 	return b
+}
+
+// stamp advances the LRU clock and returns the new stamp. When the clock
+// sits at clockMax it renormalises first, once per ~10^9 touches.
+//
+//lint:hotpath
+func (c *Cache) stamp() uint32 {
+	if c.tick == clockMax {
+		c.renormalise()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renormalise rewrites every valid frame's LRU stamp to its rank within its
+// set (1 for the least recent of k valid ways, k for the most recent) and
+// sets the clock to the largest rank. This is exact: FillFrame only ever
+// compares stamps of ways in one set, ranks keep each set's order, and
+// every later stamp exceeds every rank.
+func (c *Cache) renormalise() {
+	ranks := make([]uint32, c.ways)
+	var top uint32
+	for base := uint64(0); base < uint64(len(c.sets)); base += c.ways {
+		set := c.sets[base : base+c.ways]
+		for i := range set {
+			ranks[i] = 0
+			if !set[i].valid() {
+				continue
+			}
+			for j := range set {
+				if set[j].valid() && set[j].lru() <= set[i].lru() {
+					ranks[i]++
+				}
+			}
+			top = max(top, ranks[i])
+		}
+		for i := range set {
+			if set[i].valid() {
+				set[i].meta = ranks[i]<<lruShift | set[i].meta&wayDirty
+			}
+		}
+	}
+	c.tick = top
 }
 
 // Lookup probes for addr. On a hit it updates recency, marks the line dirty
@@ -246,8 +313,7 @@ func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
 	ways := c.sets[setBase : setBase+c.ways]
 	for i := range ways {
 		if ways[i].tag == tag {
-			c.tick++
-			meta := c.tick<<lruShift | ways[i].meta&(wayValid|wayDirty)
+			meta := c.stamp()<<lruShift | ways[i].meta&wayDirty
 			if write {
 				meta |= wayDirty
 				c.stats.WriteHits++
@@ -312,25 +378,26 @@ func (c *Cache) FillFrame(addr uint64, dirty bool) (Victim, uint64) {
 			victimIdx = i
 			goto install
 		}
-		if ways[i].lru() < ways[victimIdx].lru() {
+		// Stamps are unique within a set, so comparing whole meta words
+		// orders the ways by stamp whatever their dirty bits.
+		if ways[i].meta < ways[victimIdx].meta {
 			victimIdx = i
 		}
 	}
 install:
 	v := Victim{}
-	if ways[victimIdx].valid() {
+	if old := ways[victimIdx]; old.valid() {
 		v.Valid = true
-		v.Dirty = ways[victimIdx].dirty()
+		v.Dirty = old.dirty()
 		// The victim shares the incoming line's set, so its set index is the
 		// shift/mask form rather than setBase/ways (ways need not be pow2).
-		v.Addr = c.reconstruct(c.SetIndex(addr), ways[victimIdx].tag)
+		v.Addr = c.reconstruct(c.SetIndex(addr), uint64(old.tag-1))
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.DirtyEvicts++
 		}
 	}
-	c.tick++
-	meta := c.tick<<lruShift | wayValid
+	meta := c.stamp() << lruShift
 	if dirty {
 		meta |= wayDirty
 	}
@@ -350,7 +417,7 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	for i := range ways {
 		if ways[i].tag == tag {
 			d := ways[i].dirty()
-			ways[i] = way{tag: invalidTag}
+			ways[i] = way{}
 			c.stats.Invalidates++
 			c.sanCheckInvalidate(setBase, true)
 			return true, d
@@ -376,9 +443,9 @@ func (c *Cache) CleanLine(addr uint64) {
 	}
 }
 
-// reconstruct rebuilds a line's byte address from its set and tag.
-func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	return (tag<<c.setBits | set) << c.lineBits
+// reconstruct rebuilds a line's byte address from its set and line tag.
+func (c *Cache) reconstruct(set, lineTag uint64) uint64 {
+	return (lineTag<<c.setBits | set) << c.lineBits
 }
 
 // Occupancy returns the number of valid lines (test/diagnostic helper).

@@ -142,18 +142,106 @@ func TestPeekDoesNotDisturbLRUOrStats(t *testing.T) {
 }
 
 func TestVictimAddressReconstruction(t *testing.T) {
-	c := MustNew(Config{Name: "r", SizeBytes: 64 * 1024, Ways: 4, LineBytes: 64})
-	addrs := []uint64{0x0, 0xDEAD40, 0x123456789C0, 0x7FFFFFFFC0}
+	// A one-frame cache has no set bits, so its tag is the whole line
+	// address: addresses up to 6+MaxTagBits bits are in range. The last
+	// case puts the evicting line at the very top of that range.
+	top := uint64(1)<<(6+MaxTagBits) - 64
+	addrs := []uint64{0x0, 0xDEAD40, 0x1234567880, top - 1<<20}
 	for _, a := range addrs {
-		a &^= 63
-		c2 := MustNew(Config{Name: "one", SizeBytes: 64, Ways: 1, LineBytes: 64})
-		c2.Fill(a, false)
-		v := c2.Fill(a+1<<20, false)
+		c := MustNew(Config{Name: "one", SizeBytes: 64, Ways: 1, LineBytes: 64})
+		c.Fill(a, false)
+		v := c.Fill(a+1<<20, false)
 		if !v.Valid || v.Addr != a {
 			t.Errorf("reconstructed victim %#x, want %#x", v.Addr, a)
 		}
 	}
-	_ = c
+}
+
+func TestCheckTagWidth(t *testing.T) {
+	cases := []struct {
+		cfg      Config
+		addrBits uint
+		ok       bool
+	}{
+		// Table I at 40-bit addresses (16 cores above bit 36).
+		{Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 4, LineBytes: 64}, 40, true},
+		{Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineBytes: 64}, 40, true},
+		{Config{Name: "L3", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}, 40, true},
+		// One set: the tag is everything above the 6 offset bits.
+		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 6 + MaxTagBits, true},
+		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 7 + MaxTagBits, false},
+		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 40, false},
+		// A bad geometry is reported whatever the width.
+		{Config{Name: "bad", SizeBytes: 64, Ways: 8, LineBytes: 64}, 8, false},
+	}
+	for _, tc := range cases {
+		if err := CheckTagWidth(tc.cfg, tc.addrBits); (err == nil) != tc.ok {
+			t.Errorf("%s at %d bits: err %v, want ok=%v", tc.cfg.Name, tc.addrBits, err, tc.ok)
+		}
+	}
+}
+
+// TestClockRenormalisationIsExact runs one random Lookup/Fill/Invalidate
+// stream through two caches: one whose LRU clock starts at 0 and never
+// renormalises within the run, and one whose clock is pushed to just
+// below clockMax at the start and every 1000 operations, so it
+// renormalises about a hundred times. Moving a clock forward is itself
+// exact (every later stamp still exceeds every stored one), so the two
+// must agree on every hit, frame, victim and dirty bit.
+func TestClockRenormalisationIsExact(t *testing.T) {
+	cfg := Config{Name: "twin", SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}
+	ref, wrapped := MustNew(cfg), MustNew(cfg)
+	state := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 33
+	}
+	const ops = 100_000
+	renorms, last := 0, uint32(0)
+	for i := 0; i < ops; i++ {
+		if wrapped.tick < last {
+			renorms++ // only renormalisation moves the clock back
+		}
+		if i%1000 == 0 {
+			if jump := clockMax - uint32(next()%64); jump > wrapped.tick {
+				wrapped.tick = jump
+			}
+		}
+		last = wrapped.tick
+		r := next()
+		addr := (r % 96) * 64 // 96 lines over a 32-line cache
+		switch (r >> 8) % 4 {
+		case 0, 1:
+			write := r>>10&1 == 1
+			h1, f1 := ref.LookupFrame(addr, write)
+			h2, f2 := wrapped.LookupFrame(addr, write)
+			if h1 != h2 || f1 != f2 {
+				t.Fatalf("op %d lookup %#x: (%v,%d) vs (%v,%d)", i, addr, h1, f1, h2, f2)
+			}
+		case 2:
+			if ref.Peek(addr) {
+				continue
+			}
+			dirty := r>>10&1 == 1
+			v1, f1 := ref.FillFrame(addr, dirty)
+			v2, f2 := wrapped.FillFrame(addr, dirty)
+			if v1 != v2 || f1 != f2 {
+				t.Fatalf("op %d fill %#x: victim %+v frame %d vs %+v frame %d", i, addr, v1, f1, v2, f2)
+			}
+		case 3:
+			p1, d1 := ref.Invalidate(addr)
+			p2, d2 := wrapped.Invalidate(addr)
+			if p1 != p2 || d1 != d2 {
+				t.Fatalf("op %d invalidate %#x: (%v,%v) vs (%v,%v)", i, addr, p1, d1, p2, d2)
+			}
+		}
+	}
+	if renorms < 50 {
+		t.Errorf("only %d renormalisations exercised", renorms)
+	}
+	if ref.Stats() != wrapped.Stats() {
+		t.Errorf("stats diverge: %+v vs %+v", ref.Stats(), wrapped.Stats())
+	}
 }
 
 func TestOccupancyAndLines(t *testing.T) {

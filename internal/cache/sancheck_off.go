@@ -9,6 +9,8 @@ package cache
 
 type sanState struct{}
 
+func (c *Cache) sanCheckTag(addr, lineTag uint64) {}
+
 func (c *Cache) sanCheckTouch(setBase uint64) {}
 
 func (c *Cache) sanCheckFill(setBase uint64, evicted bool) {}

@@ -17,27 +17,39 @@ type sanState struct {
 // Occupancy() cross-checks; per-event checks stay O(ways).
 const sanSweepInterval = 4096
 
-// sanCheckSet validates the structural invariants of one set: a valid way
-// never carries the invalid sentinel tag or an LRU stamp from the future,
-// an invalid way carries no stale tag or dirty bit (Invalidate must fully
-// scrub the frame), and no two valid ways in a set hold the same tag.
+// sanCheckTag validates that addr's line tag fits a frame: a wider tag
+// would be truncated into the 32-bit field and alias another line. Every
+// probe, fill and invalidation passes here, so every tag a frame stores is
+// in range.
+func (c *Cache) sanCheckTag(addr, lineTag uint64) {
+	if lineTag >= 1<<MaxTagBits {
+		sancheck.Failf("cache %s: address %#x has line tag %#x, wider than the %d bits a frame stores (tag would alias)",
+			c.cfg.Name, addr, lineTag, MaxTagBits)
+	}
+}
+
+// sanCheckSet validates the structural invariants of one set: an empty way
+// carries meta 0 (Invalidate must fully scrub the frame, leaving no stale
+// dirty bit or stamp), a valid way stores a line tag below 2^MaxTagBits
+// and a stamp in 1..tick, and no two valid ways in a set hold the same tag.
 func (c *Cache) sanCheckSet(setBase uint64) {
 	ways := c.sets[setBase : setBase+c.ways]
 	set := setBase / c.ways
 	for i := range ways {
 		w := ways[i]
 		if !w.valid() {
-			if w.tag != invalidTag || w.dirty() {
-				sancheck.Failf("cache %s: set %d way %d is invalid but carries tag %#x dirty=%v (frame not scrubbed)",
-					c.cfg.Name, set, i, w.tag, w.dirty())
+			if w.meta != 0 {
+				sancheck.Failf("cache %s: set %d way %d is empty but carries meta %#x (frame not scrubbed)",
+					c.cfg.Name, set, i, w.meta)
 			}
 			continue
 		}
-		if w.tag == invalidTag {
-			sancheck.Failf("cache %s: set %d way %d is valid with the invalid sentinel tag", c.cfg.Name, set, i)
+		if w.tag-1 >= 1<<MaxTagBits {
+			sancheck.Failf("cache %s: set %d way %d stores line tag %#x, wider than the %d bits a frame holds",
+				c.cfg.Name, set, i, w.tag-1, MaxTagBits)
 		}
-		if w.lru() > c.tick {
-			sancheck.Failf("cache %s: set %d way %d LRU stamp %d is ahead of the cache tick %d",
+		if w.lru() == 0 || w.lru() > c.tick {
+			sancheck.Failf("cache %s: set %d way %d LRU stamp %d is outside the cache clock's 1..%d",
 				c.cfg.Name, set, i, w.lru(), c.tick)
 		}
 		for j := i + 1; j < len(ways); j++ {

@@ -99,6 +99,24 @@ func TestRunSuiteAggregation(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsTagOverflow: cache sizes small enough that their
+// tags overflow a cache frame at the 16-core address width (or that do not
+// divide into their ways at all) are Options errors, never panics.
+func TestNewSystemRejectsTagOverflow(t *testing.T) {
+	for _, mod := range []func(*Options){
+		func(o *Options) { o.L2Bytes = 64 },
+		func(o *Options) { o.L2Bytes = 512 },
+		func(o *Options) { o.L3BankBytes = 1 << 10 },
+	} {
+		o := tinyOptions(ReNUCA)
+		o.Apps = apps16()
+		mod(&o)
+		if _, err := NewSystem(o); err == nil {
+			t.Errorf("L2Bytes=%d L3BankBytes=%d built; want an error", o.L2Bytes, o.L3BankBytes)
+		}
+	}
+}
+
 func TestPoliciesComplete(t *testing.T) {
 	if len(Policies()) != 5 {
 		t.Error("expected 5 policies")

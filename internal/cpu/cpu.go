@@ -284,8 +284,7 @@ func (c *Core) execute(e *robEntry, ready uint64) {
 	case trace.Load:
 		crit := false
 		if c.cpt != nil {
-			crit = c.cpt.Predict(e.pc)
-			c.cpt.OnLoadIssue(e.pc)
+			crit = c.cpt.Issue(e.pc)
 		}
 		e.predictedCrit = crit
 		e.completeCycle = c.mem.Load(c.id, e.pc, e.addr, crit, ready)

@@ -217,17 +217,22 @@ func BackingLines(cfg Config) (uint64, error) {
 	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
 		return 0, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
 	}
-	per, err := cache.BackingLines(cache.Config{
-		Name:      "L3.bank0",
-		SizeBytes: cfg.BankBytes,
-		Ways:      cfg.Ways,
-		LineBytes: cfg.LineBytes,
-		Latency:   cfg.BankLatency,
-	})
+	per, err := cache.BackingLines(BankConfig(cfg, 0))
 	if err != nil {
 		return 0, err
 	}
 	return uint64(cfg.NumBanks) * per, nil
+}
+
+// BankConfig returns the cache configuration of LLC bank b.
+func BankConfig(cfg Config, b int) cache.Config {
+	return cache.Config{
+		Name:      fmt.Sprintf("L3.bank%d", b),
+		SizeBytes: cfg.BankBytes,
+		Ways:      cfg.Ways,
+		LineBytes: cfg.LineBytes,
+		Latency:   cfg.BankLatency,
+	}
 }
 
 // NewWindowed is New adopting externally-owned state windows: frames must
@@ -270,13 +275,7 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 		if frames != nil {
 			win = frames[uint64(b)*linesPerBank : uint64(b+1)*linesPerBank]
 		}
-		c, err := cache.NewWindowed(cache.Config{
-			Name:      fmt.Sprintf("L3.bank%d", b),
-			SizeBytes: cfg.BankBytes,
-			Ways:      cfg.Ways,
-			LineBytes: cfg.LineBytes,
-			Latency:   cfg.BankLatency,
-		}, win)
+		c, err := cache.NewWindowed(BankConfig(cfg, b), win)
 		if err != nil {
 			return nil, err
 		}

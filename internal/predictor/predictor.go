@@ -58,18 +58,18 @@ func (s Stats) Accuracy() float64 {
 	return float64(s.Correct) / float64(n)
 }
 
-// entry is packed to 16 bytes: validity is encoded by the pc field using a
-// sentinel no real load PC can take (generated PCs are word-aligned, so the
-// all-ones value is unreachable), which makes the hot-path tag check a
-// single compare, and both counters share one word — robBlock in the high
-// half, numLoads in the low half. 16-byte entries pack four to a cache
-// line with none straddling, which matters because the table is probed at
-// a hash-scattered index three times per load (predict, issue, commit).
-// Each counter saturates at 2^32-1 instead of carrying into its neighbour;
-// one PC would need four billion dynamic loads in a single run to get
-// there, three orders of magnitude beyond the largest sweep.
+// entry is packed to 16 bytes: key holds the load PC plus one, so the zero
+// value is an empty entry and a freshly allocated table is empty
+// (generated PCs are word-aligned, so pc+1 never wraps), which makes the
+// hot-path tag check a single compare, and both counters share one word —
+// robBlock in the high half, numLoads in the low half. 16-byte entries
+// pack four to a cache line with none straddling, which matters because
+// the table is probed at a hash-scattered index twice per load (issue and
+// commit). Each counter saturates at 2^32-1 instead of carrying into its
+// neighbour; one PC would need four billion dynamic loads in a single run
+// to get there, three orders of magnitude beyond the largest sweep.
 type entry struct {
-	pc     uint64
+	key    uint64 // pc+1; 0 = empty
 	counts uint64 // robBlock<<32 | numLoads
 }
 
@@ -77,7 +77,6 @@ func (e entry) numLoads() uint64 { return e.counts & countMask }
 func (e entry) robBlock() uint64 { return e.counts >> countShift }
 
 const (
-	invalidPC  = ^uint64(0)
 	countShift = 32
 	countMask  = 1<<countShift - 1
 )
@@ -104,14 +103,10 @@ func New(cfg Config) (*CPT, error) {
 	if cfg.ThresholdPct <= 0 || cfg.ThresholdPct > 100 {
 		return nil, fmt.Errorf("predictor: threshold %v%% out of (0,100]", cfg.ThresholdPct)
 	}
-	entries := make([]entry, cfg.Entries)
-	for i := range entries {
-		entries[i].pc = invalidPC
-	}
 	c := &CPT{
 		cfg:     cfg,
 		mask:    uint64(cfg.Entries - 1),
-		entries: entries,
+		entries: make([]entry, cfg.Entries),
 	}
 	if t := math.Trunc(cfg.ThresholdPct); t == cfg.ThresholdPct {
 		c.intThresh = uint64(t)
@@ -144,12 +139,30 @@ func (c *CPT) index(pc uint64) *entry {
 }
 
 // Predict returns the criticality prediction for a load at pc (step 1 of
-// Figure 6b). A table miss predicts non-critical: the paper's first-touch
-// presumption prioritises lifetime over performance.
+// Figure 6b) without touching the entry's counters. A table miss predicts
+// non-critical: the paper's first-touch presumption prioritises lifetime
+// over performance.
 func (c *CPT) Predict(pc uint64) bool {
-	c.stats.Predictions++
+	return c.predict(c.index(pc), pc)
+}
+
+// Issue is the issue-time probe of a load at pc: it returns Predict's
+// prediction and then bumps numLoadsCount for an existing entry (steps 1
+// of Figure 6b and 2 of Figure 6a), hashing into the table once for both.
+// Issues from unknown PCs leave the table unchanged until commit.
+func (c *CPT) Issue(pc uint64) bool {
 	e := c.index(pc)
-	if e.pc != pc || e.numLoads() == 0 {
+	critical := c.predict(e, pc)
+	if e.key == pc+1 && e.counts&countMask != countMask {
+		e.counts++
+	}
+	return critical
+}
+
+// predict is Predict on the entry pc indexes.
+func (c *CPT) predict(e *entry, pc uint64) bool {
+	c.stats.Predictions++
+	if e.key != pc+1 || e.numLoads() == 0 {
 		return false
 	}
 	// Integer form of robBlock/numLoads >= x%: with x integral and both
@@ -169,20 +182,11 @@ func (c *CPT) Predict(pc uint64) bool {
 	return critical
 }
 
-// OnLoadIssue bumps numLoadsCount for an existing entry (step 2 of Figure
-// 6a); issues from unknown PCs leave the table unchanged until commit.
-func (c *CPT) OnLoadIssue(pc uint64) {
-	e := c.index(pc)
-	if e.pc == pc && e.counts&countMask != countMask {
-		e.counts++
-	}
-}
-
 // OnROBBlock bumps robBlockCount when the load at pc blocks the ROB head
 // (step 3 of Figure 6a).
 func (c *CPT) OnROBBlock(pc uint64) {
 	e := c.index(pc)
-	if e.pc == pc && e.counts>>countShift != countMask {
+	if e.key == pc+1 && e.counts>>countShift != countMask {
 		e.counts += 1 << countShift
 	}
 }
@@ -210,10 +214,10 @@ func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 	}
 
 	e := c.index(pc)
-	if e.pc == pc {
+	if e.key == pc+1 {
 		return
 	}
-	if e.pc != invalidPC {
+	if e.key != 0 {
 		c.stats.Conflicts++
 	}
 	c.stats.Inserts++
@@ -221,13 +225,13 @@ func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 	if blocked {
 		rb = 1
 	}
-	*e = entry{pc: pc, counts: rb<<countShift | 1}
+	*e = entry{key: pc + 1, counts: rb<<countShift | 1}
 }
 
 // Lookup exposes an entry's counters for tests and diagnostics.
 func (c *CPT) Lookup(pc uint64) (numLoads, robBlock uint64, ok bool) {
 	e := c.index(pc)
-	if e.pc == pc {
+	if e.key == pc+1 {
 		return e.numLoads(), e.robBlock(), true
 	}
 	return 0, 0, false

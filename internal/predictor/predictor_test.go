@@ -39,7 +39,7 @@ func TestInsertOnCommitThenCounts(t *testing.T) {
 	if !ok || n != 1 || rb != 1 {
 		t.Fatalf("after insert: n=%d rb=%d ok=%v", n, rb, ok)
 	}
-	c.OnLoadIssue(pc)
+	c.Issue(pc)
 	c.OnROBBlock(pc)
 	n, rb, _ = c.Lookup(pc)
 	if n != 2 || rb != 2 {
@@ -49,7 +49,7 @@ func TestInsertOnCommitThenCounts(t *testing.T) {
 
 func TestIssueOnUnknownPCIsNoop(t *testing.T) {
 	c := cpt(3)
-	c.OnLoadIssue(0x99)
+	c.Issue(0x99)
 	c.OnROBBlock(0x99)
 	if _, _, ok := c.Lookup(0x99); ok {
 		t.Error("issue/block must not insert entries; only commit does")
@@ -62,7 +62,7 @@ func TestThresholdSemantics(t *testing.T) {
 		c := cpt(th)
 		c.OnLoadCommit(0x10, false, true) // 1 load, 1 block
 		for i := 0; i < 9; i++ {
-			c.OnLoadIssue(0x10) // 10 loads, 1 block
+			c.Issue(0x10) // 10 loads, 1 block
 		}
 		return c
 	}
@@ -86,7 +86,7 @@ func TestHundredPercentThresholdIsStringent(t *testing.T) {
 	if !c.Predict(0x20) {
 		t.Error("1/1 blocked: critical even at 100%")
 	}
-	c.OnLoadIssue(0x20) // 2 loads, 1 block = 50%
+	c.Issue(0x20) // 2 loads, 1 block = 50%
 	if c.Predict(0x20) {
 		t.Error("50% block rate is below a 100% threshold")
 	}
@@ -131,7 +131,7 @@ func TestConflictReplacement(t *testing.T) {
 func TestRecommitSamePCDoesNotReinsert(t *testing.T) {
 	c := cpt(3)
 	c.OnLoadCommit(0x30, false, true)
-	c.OnLoadIssue(0x30)
+	c.Issue(0x30)
 	c.OnLoadCommit(0x30, false, false) // entry exists: counters preserved
 	n, rb, _ := c.Lookup(0x30)
 	if n != 2 || rb != 1 {
@@ -147,8 +147,7 @@ func TestAlwaysBlockingPCBecomesCritical(t *testing.T) {
 	pc := uint64(0xCAFE)
 	c.OnLoadCommit(pc, false, true)
 	for i := 0; i < 100; i++ {
-		pred := c.Predict(pc)
-		c.OnLoadIssue(pc)
+		pred := c.Issue(pc)
 		c.OnROBBlock(pc)
 		c.OnLoadCommit(pc, pred, true)
 	}
@@ -165,11 +164,45 @@ func TestNeverBlockingPCStaysNonCritical(t *testing.T) {
 	pc := uint64(0xBEEF)
 	c.OnLoadCommit(pc, false, false)
 	for i := 0; i < 1000; i++ {
-		if c.Predict(pc) {
+		if c.Issue(pc) {
 			t.Fatalf("iteration %d: never-blocking PC predicted critical", i)
 		}
-		c.OnLoadIssue(pc)
 		c.OnLoadCommit(pc, false, false)
+	}
+}
+
+// TestIssueIsPredictThenBump pins the fused issue probe against its
+// definition: on twin tables fed one random load stream, Issue must return
+// the prediction Predict makes before the numLoads bump, leave the same
+// counters as the bump, and keep Stats identical.
+func TestIssueIsPredictThenBump(t *testing.T) {
+	fused, split := MustNew(Config{Entries: 16, ThresholdPct: 10}), MustNew(Config{Entries: 16, ThresholdPct: 10})
+	state := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 20_000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		pc := (state >> 40 % 48) * 4 // 48 PCs over 16 entries: conflicts too
+		blocked := state>>20%7 == 0
+		want := split.Predict(pc)
+		if e := split.index(pc); e.key == pc+1 && e.counts&countMask != countMask {
+			e.counts++
+		}
+		if got := fused.Issue(pc); got != want {
+			t.Fatalf("load %d pc %#x: Issue %v, Predict-then-bump %v", i, pc, got, want)
+		}
+		for _, c := range []*CPT{fused, split} {
+			if blocked {
+				c.OnROBBlock(pc)
+			}
+			c.OnLoadCommit(pc, want, blocked)
+		}
+	}
+	if fused.Stats() != split.Stats() {
+		t.Errorf("stats diverge: %+v vs %+v", fused.Stats(), split.Stats())
+	}
+	for i := range fused.entries {
+		if fused.entries[i] != split.entries[i] {
+			t.Fatalf("entry %d diverges: %+v vs %+v", i, fused.entries[i], split.entries[i])
+		}
 	}
 }
 
@@ -185,8 +218,8 @@ func TestThresholdMonotonicityProperty(t *testing.T) {
 		lo.OnLoadCommit(pc, false, blocks[0])
 		hi.OnLoadCommit(pc, false, blocks[0])
 		for _, b := range blocks[1:] {
-			lo.OnLoadIssue(pc)
-			hi.OnLoadIssue(pc)
+			lo.Issue(pc)
+			hi.Issue(pc)
 			if b {
 				lo.OnROBBlock(pc)
 				hi.OnROBBlock(pc)

@@ -41,11 +41,11 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 
 	// 1. TLB: consulted by every access; the Mapping Bit Vector read
 	//    happens here, before the LLC is reached (Section IV-C).
-	if !s.tlbs[core].Access(pa) {
+	hit, mbv := s.tlbs[core].Translate(pa)
+	if !hit {
 		ctr.TLBMisses++
 		t += s.tlbMissLat
 	}
-	mbv := s.tlbs[core].MappingBit(pa)
 
 	// 2. L1.
 	if s.l1[core].Lookup(pa, forStore) {

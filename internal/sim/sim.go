@@ -14,6 +14,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/cpu"
@@ -215,6 +217,13 @@ func paddr(core int, addr uint64) uint64 {
 	const lineMask = 1<<(coreAddrShift-6) - 1
 	line := ((addr >> 6) + uint64(core)*0x12D687) & lineMask // +core x 1,234,567 lines
 	return line<<6 | (addr & 63) | uint64(core)<<coreAddrShift
+}
+
+// physAddrBits is the width of the physical addresses paddr produces on a
+// System of the given core count: the per-core window below coreAddrShift
+// plus the core-ID bits above it (40 bits at 16 cores).
+func physAddrBits(cores int) uint {
+	return coreAddrShift + uint(bits.Len(uint(cores-1)))
 }
 
 // coreOf recovers the owning core from a physical address.

@@ -111,6 +111,14 @@ func NewWindowed(cfg Config, apps []trace.Profile, w *Windows) (*System, error) 
 	if cfg.ClockHz <= 0 {
 		return nil, fmt.Errorf("sim: clock %v must be positive", cfg.ClockHz)
 	}
+	// Every cache sees whole physical addresses, so each geometry must
+	// leave tags narrow enough for a frame at the System's address width.
+	addrBits := physAddrBits(cfg.Cores)
+	for _, cc := range []cache.Config{cfg.L1, cfg.L2, nuca.BankConfig(cfg.LLC, 0)} {
+		if err := cache.CheckTagWidth(cc, addrBits); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
 	if w == nil {
 		w = &Windows{}
 	}

@@ -56,27 +56,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
-// entry is one TLB slot, packed to 24 bytes: the LRU stamp and the valid
-// flag share a meta word so an 8-way set stays within three CPU cache
-// lines. LRU stamps are unique (tick increments per touch), so 63 bits
-// never wrap.
+// entry is one TLB slot. key holds the virtual page number plus one, so
+// the zero value is an empty slot and a freshly allocated (or cleared)
+// entry array is an empty TLB; page numbers are addresses shifted right by
+// pageShift, so vpn+1 never wraps. LRU stamps are unique (tick increments
+// per touch), so 64 bits never wrap.
 type entry struct {
-	vpn  uint64
-	mbv  uint64
-	meta uint64 // lru<<1 | valid
+	key uint64 // vpn+1; 0 = empty
+	mbv uint64
+	lru uint64
 }
 
-const (
-	entryValid = 1
-
-	// invalidVPN marks empty slots so find needs a single compare per way:
-	// virtual page numbers are addresses shifted right by pageShift, so no
-	// reachable VPN equals ^0.
-	invalidVPN = ^uint64(0)
-)
-
-func (e entry) valid() bool { return e.meta&entryValid != 0 }
-func (e entry) lru() uint64 { return e.meta >> 1 }
+func (e entry) valid() bool { return e.key != 0 }
 
 // TLB is one core's enhanced TLB (the simulator instantiates one per core,
 // standing in for the paper's L1D TLB; instruction fetch is not modelled).
@@ -139,9 +130,9 @@ func New(cfg Config) (*TLB, error) {
 
 // NewWindowed is New adopting an externally-owned entry window: backing
 // must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingEntries(cfg) slots. The window is reset on adoption — every
-// slot invalidated, MBV and recency cleared — so a window still dirty from
-// a retired simulation behaves like a fresh allocation.
+// hold BackingEntries(cfg) slots. The window is cleared on adoption — every
+// slot empty, MBV and recency reset — so a window still dirty from a
+// retired simulation behaves like a fresh allocation.
 func NewWindowed(cfg Config, backing Backing) (*TLB, error) {
 	numSets, err := validate(cfg)
 	if err != nil {
@@ -152,9 +143,8 @@ func NewWindowed(cfg Config, backing Backing) (*TLB, error) {
 	} else if len(backing) != cfg.Entries {
 		return nil, fmt.Errorf("tlb: backing window holds %d entries, config needs %d",
 			len(backing), cfg.Entries)
-	}
-	for i := range backing {
-		backing[i] = entry{vpn: invalidVPN}
+	} else {
+		clear(backing)
 	}
 	return &TLB{
 		cfg:       cfg,
@@ -194,39 +184,49 @@ func (t *TLB) lineBit(vaddr uint64) uint64 {
 	return 1 << idx
 }
 
-func (t *TLB) find(vpn uint64) *entry {
+// set returns the slots of vpn's set.
+func (t *TLB) set(vpn uint64) []entry {
 	setBase := (vpn & t.setMask) * t.ways
-	ways := t.sets[setBase : setBase+t.ways]
+	return t.sets[setBase : setBase+t.ways]
+}
+
+func (t *TLB) find(vpn uint64) *entry {
+	ways := t.set(vpn)
 	for i := range ways {
-		if ways[i].vpn == vpn {
+		if ways[i].key == vpn+1 {
 			return &ways[i]
 		}
 	}
 	return nil
 }
 
-// Access translates vaddr. On a hit it refreshes recency and returns true.
-// On a miss it installs a fresh entry (all-zero MBV), evicting the set's
-// LRU entry and accounting any mapping bits that eviction discards, and
-// returns false so the simulator can charge the walk latency.
-func (t *TLB) Access(vaddr uint64) bool {
+// Translate translates vaddr and reads its line's MBV bit in one probe of
+// the set. On a hit it refreshes recency and returns true with the bit as
+// MappingBit reads it. On a miss it installs a fresh entry (all-zero MBV,
+// so mbv is false), evicting the set's LRU entry and accounting any
+// mapping bits that eviction discards, and returns false so the simulator
+// can charge the walk latency.
+//
+//lint:hotpath
+func (t *TLB) Translate(vaddr uint64) (hit, mbv bool) {
 	vpn := t.vpn(vaddr)
-	if e := t.find(vpn); e != nil {
-		t.tick++
-		e.meta = t.tick<<1 | entryValid
-		t.stats.Hits++
-		return true
+	ways := t.set(vpn)
+	for i := range ways {
+		if ways[i].key == vpn+1 {
+			t.tick++
+			ways[i].lru = t.tick
+			t.stats.Hits++
+			return true, ways[i].mbv&t.lineBit(vaddr) != 0
+		}
 	}
 	t.stats.Misses++
-	setBase := (vpn & t.setMask) * t.ways
-	ways := t.sets[setBase : setBase+t.ways]
 	victim := 0
 	for i := range ways {
 		if !ways[i].valid() {
 			victim = i
 			goto install
 		}
-		if ways[i].lru() < ways[victim].lru() {
+		if ways[i].lru < ways[victim].lru {
 			victim = i
 		}
 	}
@@ -234,8 +234,8 @@ func (t *TLB) Access(vaddr uint64) bool {
 	t.stats.LostMappingBits += uint64(bits.OnesCount64(ways[victim].mbv))
 install:
 	t.tick++
-	ways[victim] = entry{vpn: vpn, meta: t.tick<<1 | entryValid}
-	return false
+	ways[victim] = entry{key: vpn + 1, lru: t.tick}
+	return false, false
 }
 
 // MappingBit reads the MBV bit for vaddr's line: true means the line was

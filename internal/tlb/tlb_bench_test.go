@@ -15,40 +15,39 @@ func benchVaddrs(n int, pages uint64) []uint64 {
 }
 
 // BenchmarkTLBAccess measures the translate-or-refill cost of the paper's
-// 64-entry enhanced TLB, consulted by every load and store before any cache.
+// 64-entry enhanced TLB, consulted by every load and store before any
+// cache: the fused Translate probe (translation plus MBV read) the walk
+// performs, and the MBV update an LLC fill makes.
 func BenchmarkTLBAccess(b *testing.B) {
 	tb := MustNew(DefaultConfig())
 	// ~2x the TLB's page capacity: steady mix of hits and refills.
 	addrs := benchVaddrs(4096, 128)
 	for _, a := range addrs {
-		tb.Access(a)
+		tb.Translate(a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := addrs[i&4095]
-		tb.Access(a)
-		if tb.MappingBit(a) {
+		if _, mbv := tb.Translate(a); mbv {
 			tb.SetMappingBit(a, false)
 		}
 	}
 }
 
-// TestAccessDoesNotAllocate pins TLB.Access (plus the MBV read every walk
-// performs) to zero heap allocations.
+// TestAccessDoesNotAllocate pins the walk's TLB probe to zero heap
+// allocations.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	tb := MustNew(DefaultConfig())
 	addrs := benchVaddrs(512, 128)
 	for _, a := range addrs {
-		tb.Access(a)
+		tb.Translate(a)
 	}
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		a := addrs[i&511]
-		tb.Access(a)
-		tb.MappingBit(a)
+		tb.Translate(addrs[i&511])
 		i++
 	}); n != 0 {
-		t.Errorf("Access+MappingBit allocates %v times per call, want 0", n)
+		t.Errorf("Translate allocates %v times per call, want 0", n)
 	}
 }

@@ -27,17 +27,19 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	tl := tb()
-	if tl.Access(0x1000) {
-		t.Fatal("cold access should miss")
-	}
-	if !tl.Access(0x1000) {
-		t.Fatal("second access should hit")
-	}
-	if !tl.Access(0x1FC0) {
-		t.Fatal("same-page different-line access should hit")
-	}
-	if tl.Access(0x2000) {
-		t.Fatal("next page should miss")
+	for _, step := range []struct {
+		va   uint64
+		want bool
+		what string
+	}{
+		{0x1000, false, "cold access should miss"},
+		{0x1000, true, "second access should hit"},
+		{0x1FC0, true, "same-page different-line access should hit"},
+		{0x2000, false, "next page should miss"},
+	} {
+		if hit, _ := tl.Translate(step.va); hit != step.want {
+			t.Fatal(step.what)
+		}
 	}
 	s := tl.Stats()
 	if s.Hits != 2 || s.Misses != 2 {
@@ -48,7 +50,7 @@ func TestMissThenHit(t *testing.T) {
 func TestMappingBitLifecycle(t *testing.T) {
 	tl := tb()
 	va := uint64(0x5000 + 3*64) // page 5, line 3
-	tl.Access(va)               // install entry
+	tl.Translate(va)            // install entry
 	if tl.MappingBit(va) {
 		t.Fatal("fresh entry must report S-NUCA (bit 0)")
 	}
@@ -73,7 +75,7 @@ func TestMappingBitLifecycle(t *testing.T) {
 func TestSetMappingBitNonCriticalClears(t *testing.T) {
 	tl := tb()
 	va := uint64(0x7000)
-	tl.Access(va)
+	tl.Translate(va)
 	tl.SetMappingBit(va, true)
 	tl.SetMappingBit(va, false)
 	if tl.MappingBit(va) {
@@ -98,11 +100,11 @@ func TestEvictionLosesMappingBits(t *testing.T) {
 	// Fill set 0 with 8 pages, each with one MBV bit set.
 	for i := uint64(0); i < 8; i++ {
 		va := i * 8 * 4096 // vpn = 8i -> set 0
-		tl.Access(va)
+		tl.Translate(va)
 		tl.SetMappingBit(va, true)
 	}
 	// Ninth page in set 0 evicts the LRU (the first).
-	tl.Access(8 * 8 * 4096)
+	tl.Translate(8 * 8 * 4096)
 	s := tl.Stats()
 	if s.Evictions != 1 || s.LostMappingBits != 1 {
 		t.Errorf("stats = %+v, want 1 eviction losing 1 bit", s)
@@ -112,7 +114,7 @@ func TestEvictionLosesMappingBits(t *testing.T) {
 	}
 	// Its line now reads S-NUCA even though it was filled critical — the
 	// corner the simulator's two-probe fallback handles.
-	tl.Access(0)
+	tl.Translate(0)
 	if tl.MappingBit(0) {
 		t.Error("reloaded entry must start with a zero MBV")
 	}
@@ -125,15 +127,39 @@ func TestLRUWithinSet(t *testing.T) {
 		pages[i] = uint64(i) * 8 * 4096 // all set 0
 	}
 	for _, p := range pages[:8] {
-		tl.Access(p)
+		tl.Translate(p)
 	}
-	tl.Access(pages[0]) // refresh page 0
-	tl.Access(pages[8]) // evicts page 1, not page 0
+	tl.Translate(pages[0]) // refresh page 0
+	tl.Translate(pages[8]) // evicts page 1, not page 0
 	if !tl.Resident(pages[0]) {
 		t.Error("recently-used page 0 must survive")
 	}
 	if tl.Resident(pages[1]) {
 		t.Error("LRU page 1 must be the victim")
+	}
+}
+
+// TestTranslateReportsMappingBit pins the walk's single probe against the
+// separate reads it replaces: over a random stream of translations and MBV
+// updates, Translate hits exactly when the page was resident, and its mbv
+// is what MappingBit reads for the line right afterwards.
+func TestTranslateReportsMappingBit(t *testing.T) {
+	tl := tb()
+	state := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 20_000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		va := (state>>40%160)*4096 | (state>>20)&0xFC0 // 160 pages over 64 entries
+		resident := tl.Resident(va)
+		hit, mbv := tl.Translate(va)
+		if want := tl.MappingBit(va); hit != resident || mbv != want {
+			t.Fatalf("op %d va %#x: Translate (%v,%v), want (%v,%v)", i, va, hit, mbv, resident, want)
+		}
+		if state>>10&3 == 0 {
+			tl.SetMappingBit(va, state>>12&1 == 1)
+		}
+	}
+	if s := tl.Stats(); s.Misses == 0 || s.BitSets == 0 {
+		t.Errorf("stream exercised too little: %+v", s)
 	}
 }
 
@@ -146,10 +172,10 @@ func TestOverheadMatchesPaper(t *testing.T) {
 
 func TestHitRate(t *testing.T) {
 	tl := tb()
-	tl.Access(0)
-	tl.Access(0)
-	tl.Access(0)
-	tl.Access(0)
+	tl.Translate(0)
+	tl.Translate(0)
+	tl.Translate(0)
+	tl.Translate(0)
 	if got := tl.Stats().HitRate(); got != 0.75 {
 		t.Errorf("hit rate %v, want 0.75", got)
 	}
@@ -160,7 +186,7 @@ func TestHitRate(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	tl := tb()
-	tl.Access(0)
+	tl.Translate(0)
 	tl.ResetStats()
 	if tl.Stats() != (Stats{}) {
 		t.Error("stats not zeroed")
@@ -174,7 +200,7 @@ func TestMappingBitIndependenceProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tl := tb()
 		va := uint64(0x40000)
-		tl.Access(va)
+		tl.Translate(va)
 		model := map[uint64]bool{}
 		for _, op := range ops {
 			line := uint64(op % 64)
