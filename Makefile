@@ -58,8 +58,8 @@ BENCHCOUNT ?= 1
 bench:
 	$(GO) build -o /tmp/renuca-benchjson ./cmd/renuca-benchjson
 	$(GO) test -run='^$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) \
-		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkBatchCacheLookup|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkWalk|BenchmarkBatchWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
-		./internal/cache ./internal/tlb ./internal/coherence ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
+		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkBatchCacheLookup|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkBatchWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
+		./internal/cache ./internal/tlb ./internal/coherence ./internal/nuca ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
 	/tmp/renuca-benchjson -o BENCH.json < /tmp/renuca-bench.txt
 
 # Snapshot the current BENCH.json into the per-PR history as BENCH_$(N).json

@@ -69,14 +69,21 @@ func (s Stats) NonCriticalLoadFraction() float64 {
 }
 
 // pendingOp defers execution of a ROB entry until its producer completes.
+// depIdx is the producer's ROB slot. The slot cannot be reused while the
+// consumer waits: a producer commits only once its completion is known and
+// at or before the tick, and issuePending runs before commit in every tick,
+// so a pending consumer issues no later than the tick its producer commits.
 type pendingOp struct {
 	robIdx   int
-	depSeq   uint64
+	depIdx   int
 	minReady uint64
 }
 
+// robEntry is one in-flight instruction, 32 bytes. completeCycle is also
+// the dependence record consumers read: the ROB holds the last count
+// dispatched instructions, so a producer DepDist back is in the ROB when
+// DepDist <= count and committed (hence complete) otherwise.
 type robEntry struct {
-	seq           uint64
 	pc            uint64
 	addr          uint64
 	completeCycle uint64
@@ -96,19 +103,10 @@ type Core struct {
 	rob        []robEntry
 	head, tail int
 	count      int
-	seq        uint64 // next dynamic sequence number to dispatch
 
 	// pending holds dispatched instructions whose memory walk (or ALU
 	// completion) is deferred until their producer completes.
 	pending []pendingOp
-
-	// completion records the completion cycle of recent instructions,
-	// indexed by seq modulo its (power-of-two) length, for dependence
-	// resolution. Any dependence older than the current ROB contents has
-	// committed and is complete by construction. compMask caches
-	// len(completion)-1 for the per-instruction index computations.
-	completion []uint64
-	compMask   uint64
 
 	stats Stats
 
@@ -135,19 +133,13 @@ func New(id int, cfg Config, gen trace.Generator, mem MemSystem, cpt *predictor.
 	if gen == nil || mem == nil {
 		return nil, fmt.Errorf("cpu: nil generator or memory system")
 	}
-	histLen := 1
-	for histLen < cfg.ROBEntries+1 {
-		histLen <<= 1
-	}
 	return &Core{
-		cfg:        cfg,
-		id:         id,
-		gen:        gen,
-		mem:        mem,
-		cpt:        cpt,
-		rob:        make([]robEntry, cfg.ROBEntries),
-		completion: make([]uint64, histLen),
-		compMask:   uint64(histLen - 1),
+		cfg: cfg,
+		id:  id,
+		gen: gen,
+		mem: mem,
+		cpt: cpt,
+		rob: make([]robEntry, cfg.ROBEntries),
 	}, nil
 }
 
@@ -220,7 +212,7 @@ func (c *Core) Tick(cycle uint64) (nextWake uint64) {
 	}
 	for i := range c.pending {
 		p := &c.pending[i]
-		dep := c.completion[p.depSeq&c.compMask]
+		dep := c.rob[p.depIdx].completeCycle
 		if dep == unknownCompletion {
 			continue
 		}
@@ -253,7 +245,7 @@ func (c *Core) issuePending(cycle uint64) {
 	kept := c.pending[:0]
 	for i := range c.pending {
 		p := c.pending[i]
-		dep := c.completion[p.depSeq&c.compMask]
+		dep := c.rob[p.depIdx].completeCycle
 		if dep == unknownCompletion {
 			//lint:allow allocfree compaction into the same backing array never grows it
 			kept = append(kept, p)
@@ -294,7 +286,6 @@ func (c *Core) execute(e *robEntry, ready uint64) {
 		c.mem.Store(c.id, e.pc, e.addr, false, ready)
 		e.completeCycle = ready + uint64(c.cfg.StoreLatency)
 	}
-	c.completion[e.seq&c.compMask] = e.completeCycle
 }
 
 //lint:hotpath
@@ -333,6 +324,7 @@ func (c *Core) commit(cycle uint64) {
 		case trace.Store:
 			c.stats.CommittedStores++
 		}
+		c.sanCheckCommit()
 		c.stats.Committed++
 		if !c.done && c.target > 0 && c.stats.Committed >= c.target {
 			c.done = true
@@ -355,20 +347,20 @@ func (c *Core) dispatch(cycle uint64) {
 	in := &c.scratch
 	for n := 0; n < c.cfg.IssueWidth && c.count < c.cfg.ROBEntries; n++ {
 		c.gen.Next(in)
-		seq := c.seq
-		c.seq++
 
-		// Resolve the data dependence. A dependence farther back than the
-		// completion ring has certainly committed (the ring is larger than
-		// the ROB), so it is complete by construction; for nearer
-		// producers the ring slot is exact — a slot is only reused by
-		// instructions that have not been dispatched yet.
+		// Resolve the data dependence. A producer farther back than the
+		// ROB's contents has committed, so it completed at or before this
+		// cycle and leaves ready at cycle+1; a nearer producer is in the
+		// ROB, DepDist slots behind the tail.
 		ready := cycle + 1
 		depKnown := true
-		var depSeq uint64
-		if in.DepDist > 0 && uint64(in.DepDist) < uint64(len(c.completion)) && uint64(in.DepDist) <= seq {
-			depSeq = seq - uint64(in.DepDist)
-			t := c.completion[depSeq&c.compMask]
+		depIdx := 0
+		if in.DepDist > 0 && uint64(in.DepDist) <= uint64(c.count) {
+			depIdx = c.tail - int(in.DepDist)
+			if depIdx < 0 {
+				depIdx += c.cfg.ROBEntries
+			}
+			t := c.rob[depIdx].completeCycle
 			if t == unknownCompletion {
 				depKnown = false
 			} else if t > ready {
@@ -382,7 +374,6 @@ func (c *Core) dispatch(cycle uint64) {
 		// flags execute/commit set later — must be written here.
 		robIdx := c.tail
 		e := &c.rob[robIdx]
-		e.seq = seq
 		e.pc = in.PC
 		e.addr = in.Addr
 		e.completeCycle = unknownCompletion
@@ -402,14 +393,13 @@ func (c *Core) dispatch(cycle uint64) {
 		// only once their operands exist.
 		mustDefer := !depKnown || (ready > cycle+1 && in.Kind != trace.ALU)
 		if mustDefer {
-			c.completion[seq&c.compMask] = unknownCompletion
 			// The pending queue is bounded by the ROB size, so growth
 			// amortises to zero within the first few cycles; the sim
 			// zero-alloc test holds the steady state to no allocations.
 			//lint:allow allocfree pending is ROB-bounded; growth amortises and the zero-alloc test enforces steady state
 			c.pending = append(c.pending, pendingOp{
 				robIdx:   robIdx,
-				depSeq:   depSeq,
+				depIdx:   depIdx,
 				minReady: cycle + 1,
 			})
 			continue

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -170,5 +171,72 @@ func TestROBOccupancyBounded(t *testing.T) {
 	}
 	if c.ROBOccupancy() != 128 {
 		t.Errorf("ROB should be full behind the blocked load, got %d", c.ROBOccupancy())
+	}
+}
+
+// TestROBEntrySize pins the ROB entry at 32 bytes: the entry's completion
+// cycle doubles as the dependence record, so no sequence number or
+// separate completion ring is kept.
+func TestROBEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(robEntry{}); n != 32 {
+		t.Errorf("robEntry is %d bytes, want 32", n)
+	}
+}
+
+// latMem gives every load a latency that varies with its address, so
+// producers complete out of order, and records each load's issue cycle.
+type latMem struct {
+	issue map[uint64]uint64
+}
+
+func loadLat(addr uint64) uint64 { return 1 + addr/64*37%300 }
+
+func (m *latMem) Load(core int, pc, addr uint64, critical bool, cycle uint64) uint64 {
+	m.issue[addr] = cycle
+	return cycle + loadLat(addr)
+}
+
+func (m *latMem) Store(core int, pc, addr uint64, critical bool, cycle uint64) uint64 {
+	return cycle + 1
+}
+
+// TestDependenceChainsWrapTheROB runs long, interleaved load chains through
+// a small ROB many times over. Dependence distances reach past the ROB
+// (committed producers), to the oldest live entry, and to entries whose
+// completion is still unknown, so consumers read producer slots on both
+// sides of the ring's wrap point. Every load must issue no earlier than its
+// producer completed, and every load must issue. Under simcheck the commit
+// hook also asserts no producer slot is freed while a consumer waits on it.
+func TestDependenceChainsWrapTheROB(t *testing.T) {
+	const rob, n = 16, 4000
+	dists := []uint32{1, 2, 3, 7, 15, 16, 17, 40}
+	instrs := make([]trace.Instr, n)
+	for i := range instrs {
+		d := dists[i*7%len(dists)]
+		if uint32(i) < d || i%11 == 0 {
+			d = 0
+		}
+		instrs[i] = trace.Instr{Kind: trace.Load, PC: uint64(i % 13), Addr: uint64(i) * 64, DepDist: d}
+	}
+	m := &latMem{issue: map[uint64]uint64{}}
+	cfg := DefaultConfig()
+	cfg.ROBEntries = rob
+	c := MustNewScripted(0, cfg, m, instrs)
+	run(c, 400_000)
+	if len(m.issue) != n {
+		t.Fatalf("%d of %d loads issued", len(m.issue), n)
+	}
+	for i, in := range instrs {
+		if in.DepDist == 0 {
+			continue
+		}
+		p := instrs[i-int(in.DepDist)].Addr
+		if done := m.issue[p] + loadLat(p); m.issue[in.Addr] < done {
+			t.Fatalf("load %d issued at %d, before its producer (DepDist %d) completed at %d",
+				i, m.issue[in.Addr], in.DepDist, done)
+		}
+	}
+	if c.Stats().Committed < n {
+		t.Fatalf("committed %d of %d", c.Stats().Committed, n)
 	}
 }

@@ -166,7 +166,6 @@ type LLC struct {
 	banks []*cache.Cache
 	wear  *rram.Wear
 	rmap  *RNUCAMap
-	dir   map[uint64]int // NaiveWL: line address -> bank
 	stats Stats
 
 	// Intra-bank wear-leveling remap state (IntraBankWL).
@@ -288,9 +287,6 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 		}
 		l.rmap = rm
 	}
-	if cfg.Policy == NaiveWL {
-		l.dir = make(map[uint64]int)
-	}
 	l.frames = linesPerBank
 	if bankFree == nil {
 		bankFree = make([]uint64, cfg.NumBanks)
@@ -394,8 +390,6 @@ func (l *LLC) ResetStats() {
 	l.wear.Reset()
 }
 
-func (l *LLC) lineAddr(addr uint64) uint64 { return addr &^ (l.cfg.LineBytes - 1) }
-
 // snucaBank and rnucaBank are the two primitive mappings. snucaBank is the
 // shift/mask form of the exported SNUCABank, equivalent because LineBytes
 // and NumBanks are power-of-two-validated at construction.
@@ -413,7 +407,7 @@ func (l *LLC) rnucaBank(addr uint64, core int) int {
 // probePlan computes the ordered banks to probe for addr requested by core.
 // mbvCritical is the enhanced-TLB mapping bit (only consulted by Re-NUCA).
 // The returned count is 0 when the policy can prove a miss without probing
-// (Naive's directory says the line is absent).
+// (Naive's oracle finds the line in no bank).
 //
 //lint:hotpath
 func (l *LLC) probePlan(addr uint64, core int, mbvCritical bool) (probes [2]int, n int) {
@@ -428,7 +422,7 @@ func (l *LLC) probePlan(addr uint64, core int, mbvCritical bool) (probes [2]int,
 		probes[0] = core & l.coreBankMask
 		return probes, 1
 	case NaiveWL:
-		if b, ok := l.dir[l.lineAddr(addr)]; ok {
+		if b, ok := l.Contains(addr); ok {
 			probes[0] = b
 			return probes, 1
 		}
@@ -551,6 +545,7 @@ func (l *LLC) FillBank(addr uint64, core int, critical bool) int {
 //
 //lint:hotpath
 func (l *LLC) Fill(addr uint64, core int, critical, dirty bool) FillResult {
+	l.sanCheckFill(addr)
 	bank := l.FillBank(addr, core, critical)
 	victim, frame := l.banks[bank].FillFrame(addr, dirty)
 	l.wear.RecordWrite(bank, l.wearFrame(bank, frame))
@@ -564,17 +559,17 @@ func (l *LLC) Fill(addr uint64, core int, critical, dirty bool) FillResult {
 	} else {
 		l.stats.NonCriticalFills++
 	}
-	if l.dir != nil {
-		if victim.Valid {
-			delete(l.dir, l.lineAddr(victim.Addr))
-		}
-		l.dir[l.lineAddr(addr)] = bank
-	}
 	return FillResult{Bank: bank, Frame: frame, Victim: victim}
 }
 
-// Contains reports whether addr is resident in any bank and where
-// (diagnostics and invariant checks; does not disturb recency or stats).
+// Contains reports whether addr is resident in any bank and where, without
+// disturbing recency or stats. It is also the Naive oracle: every policy
+// keeps at most one copy of a line, so searching addr's set in every bank's
+// tag array finds exactly the bank a line-to-bank directory would name. The
+// simulator still charges that directory's DirLatency; only the host keeps
+// no per-line map.
+//
+//lint:hotpath
 func (l *LLC) Contains(addr uint64) (bank int, ok bool) {
 	for b, c := range l.banks {
 		if c.Peek(addr) {

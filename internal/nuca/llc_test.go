@@ -154,25 +154,57 @@ func TestNaivePerfectLeveling(t *testing.T) {
 	}
 }
 
+// TestNaiveDirectoryTracksEvictions churns a small Naive LLC far past
+// capacity and checks that the oracle Access consults agrees with the
+// banks' actual contents for every line ever filled: a hit exactly when the
+// line is resident, in the one bank holding it, and no line ever resident
+// twice. The oracle searches the tag arrays, so this pins that the search,
+// Fill's victim handling and the one-copy invariant stay consistent.
 func TestNaiveDirectoryTracksEvictions(t *testing.T) {
 	l := smallLLC(NaiveWL)
-	// Fill far beyond capacity (4 banks x 64 frames = 256 lines).
-	for i := uint64(0); i < 1000; i++ {
-		addr := 0x100000 + i*64
-		if res := l.Access(addr, 0, false, false); !res.Hit {
-			l.Fill(addr, 0, false, false)
+	const lines = 1000 // 4 banks x 64 frames = 256 resident at most
+	addrOf := func(i uint64) uint64 { return 0x100000 + i*64 }
+	filled := map[uint64]bool{}
+	check := func(step int) {
+		t.Helper()
+		for i := range filled {
+			addr := addrOf(i)
+			banks := l.ResidentBanks(addr)
+			if len(banks) > 1 {
+				t.Fatalf("step %d: line %#x resident in banks %v", step, addr, banks)
+			}
+			res := l.Access(addr, int(i%4), false, i%3 == 0)
+			if res.Hit != (len(banks) == 1) {
+				t.Fatalf("step %d: line %#x: Access hit=%v, resident in %v", step, addr, res.Hit, banks)
+			}
+			if res.Hit && (res.Bank != banks[0] || res.NumProbes != 1 || res.Probes[0] != banks[0]) {
+				t.Fatalf("step %d: line %#x: Access %+v, resident in bank %d", step, addr, res, banks[0])
+			}
+			if !res.Hit && res.NumProbes != 0 {
+				t.Fatalf("step %d: line %#x: a proven miss probed %d banks", step, addr, res.NumProbes)
+			}
 		}
 	}
-	// Directory and actual residency must agree for a sample of lines.
-	for i := uint64(0); i < 1000; i += 17 {
-		addr := 0x100000 + i*64
-		dirBank, inDir := l.dir[addr]
-		resBank, resident := l.Contains(addr)
-		if inDir != resident {
-			t.Fatalf("line %#x: directory says %v, residency says %v", addr, inDir, resident)
+	// Odd steps walk all lines out of order with a multiplicative stride;
+	// even steps cycle a 64-line hot set. The churn so mixes hits,
+	// write-back hits and evicting fills.
+	for step := 0; step < 5000; step++ {
+		i := uint64(step) * 7919 % lines
+		if step%2 == 0 {
+			i = uint64(step/2) % 64
 		}
-		if inDir && dirBank != resBank {
-			t.Fatalf("line %#x: directory bank %d, actual %d", addr, dirBank, resBank)
+		addr := addrOf(i)
+		if res := l.Access(addr, step%4, false, step%5 == 0); !res.Hit {
+			l.Fill(addr, step%4, false, step%5 == 0)
+			filled[i] = true
+		}
+		if step == 499 {
+			if s := l.Stats(); s.Fills <= 256 || s.ReadHits == 0 || s.WritebackHits == 0 {
+				t.Fatalf("churn did not exercise evictions and hits: %+v", s)
+			}
+		}
+		if step%500 == 499 {
+			check(step)
 		}
 	}
 }

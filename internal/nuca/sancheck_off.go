@@ -10,3 +10,5 @@ package nuca
 type sanState struct{}
 
 func (l *LLC) sanCheckBankService(bank int, start, begin, occ uint64) {}
+
+func (l *LLC) sanCheckFill(addr uint64) {}

@@ -62,3 +62,14 @@ func (l *LLC) sanCheckBankService(bank int, start, begin, occ uint64) {
 			bank, s.charged[bank], s.idle[bank], l.bankFree[bank])
 	}
 }
+
+// sanCheckFill validates a fill before it installs addr: the line must be
+// resident in no bank. Every policy keeps at most one copy of a line —
+// Naive's oracle and Re-NUCA's two-probe lookup both rely on it — and
+// Fill's contract is that the caller has established the line is absent.
+func (l *LLC) sanCheckFill(addr uint64) {
+	if bank, ok := l.Contains(addr); ok {
+		sancheck.Failf("nuca: fill of line %#x, already resident in bank %d (a second copy)",
+			addr&^(l.cfg.LineBytes-1), bank)
+	}
+}

@@ -3,6 +3,7 @@
 package nuca
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,5 +76,19 @@ func TestSanitizerAcceptsLegalQueueTraffic(t *testing.T) {
 		for i := uint64(0); i < 200; i++ {
 			l.BankService(int(i%4), i*64, i*3, i%5 == 0)
 		}
+	}
+}
+
+// TestSanitizerCatchesDoubleFill fills a resident line a second time —
+// the caller skipped the Access that would have found it — under every
+// policy, and asserts the one-copy check fires before a second copy lands
+// (for Naive, in whichever bank is now least written).
+func TestSanitizerCatchesDoubleFill(t *testing.T) {
+	for _, p := range Policies() {
+		l := smallLLC(p)
+		fr := l.Fill(0x7040, 1, true, false)
+		expectSancheckPanic(t, []string{"sancheck:", "line 0x7040", "already resident", "bank " + strconv.Itoa(fr.Bank)}, func() {
+			l.Fill(0x7040, 1, true, false)
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/nuca"
+	"repro/internal/trace"
 )
 
 // TestSystemFootprint pins the bytes one Table I System allocates at
@@ -31,6 +32,41 @@ func TestSystemFootprint(t *testing.T) {
 	t.Logf("sim.New allocated %d bytes (%.2f MiB)", got, float64(got)/(1<<20))
 	if got > limit {
 		t.Errorf("sim.New allocated %.2f MiB, want at most %.2f MiB", float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestNaiveRunGrowth pins the bytes a Table I Naive System allocates while
+// it runs, on a mix of Table II's high-intensity apps whose LLC churn
+// touches hundreds of thousands of lines. The Naive oracle locates lines
+// by searching the bank tag arrays, so the run allocates no more than any
+// other policy: 6.7 MiB at these windows, nearly all of it the coherence
+// directory's sharer entries. A per-line location map on the host grew to
+// 15.7 MiB here; the limit sits at the midpoint.
+func TestNaiveRunGrowth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 300k instructions per core on 16 cores")
+	}
+	high := []string{"mcf", "streamL", "lbm", "zeusmp", "bwaves", "libquantum", "milc", "omnetpp", "xalancbmk", "leslie3d"}
+	cfg := DefaultConfig(nuca.NaiveWL)
+	apps := make([]trace.Profile, cfg.Cores)
+	for i := range apps {
+		apps[i] = trace.MustProfile(high[i%len(high)])
+	}
+	s, err := New(cfg, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.RunMeasured(100_000, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 11 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("RunMeasured allocated %d bytes (%.2f MiB)", got, float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("RunMeasured allocated %.2f MiB, want at most %.2f MiB", float64(got)/(1<<20), float64(limit)/(1<<20))
 	}
 }
 
