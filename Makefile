@@ -15,7 +15,7 @@ vet:
 
 # Domain static analysis: nondeterminism, maporder, statsmerge, seedflow,
 # poolslot, allocfree, hotdiv, statreg, invariantcall, the concurrency
-# contracts goroleak, mutexhold, timerleak, selectabort, laneiso, plus the
+# contracts goroleak, mutexhold, timerleak, selectabort, plus the
 # config-plumbing/cache-key dataflow checks optflow and keyflow. See README
 # "Determinism invariants" and "Correctness tooling".
 lint:
@@ -37,7 +37,7 @@ test:
 # whole supervision stack runs under the detector.
 # (`$(GO) test -race ./...` also works; this subset keeps the gate fast.)
 race:
-	$(GO) test -race ./internal/pool/ ./internal/core/ ./internal/shard/ ./internal/simbatch/ ./internal/experiments/ .
+	$(GO) test -race ./internal/pool/ ./internal/core/ ./internal/shard/ ./internal/experiments/ .
 
 # Full test suite with the runtime architectural-invariant sanitizer armed
 # (MESI legality, cache occupancy conservation, NoC latency envelopes, DRAM
@@ -58,7 +58,7 @@ BENCHCOUNT ?= 1
 bench:
 	$(GO) build -o /tmp/renuca-benchjson ./cmd/renuca-benchjson
 	$(GO) test -run='^$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) \
-		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkBatchCacheLookup|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkBatchWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
+		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
 		./internal/cache ./internal/tlb ./internal/coherence ./internal/nuca ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
 	/tmp/renuca-benchjson -o BENCH.json < /tmp/renuca-bench.txt
 

@@ -23,10 +23,6 @@
 // goroutines; stdout is byte-identical either way at the same seed.
 // Characterisation runs and sweeps stay in-process.
 //
-// With -batch B (or RENUCA_BATCH), suite units run B at a time through the
-// lane-batched shared tick loop (internal/simbatch) — per pool task
-// in-process, per dispatch burst when sharded. Again byte-identical stdout.
-//
 // With -queue (or RENUCA_QUEUE=1), every suite and ablation runs the
 // per-bank FIFO queue contention model instead of the legacy bounded-window
 // model. The contention experiment (-exp contention) arms it for its own
@@ -34,7 +30,7 @@
 //
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
-// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS, RENUCA_BATCH, RENUCA_QUEUE.
+// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS, RENUCA_QUEUE.
 //
 // Hardware knobs (environment, zero/unset = the paper's Table I values):
 // RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
@@ -64,7 +60,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = RENUCA_WORKERS or one per CPU)")
 	shards := flag.Int("shards", 0, "run suite simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	batch := flag.Int("batch", 0, "lane-batch B suite simulations per task through one shared tick loop (0 = RENUCA_BATCH or unbatched)")
 	queue := flag.Bool("queue", false, "arm the per-bank FIFO queue contention model in every experiment (or RENUCA_QUEUE=1)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -119,9 +114,6 @@ func main() {
 	if *workers > 0 {
 		params.Workers = *workers
 	}
-	if *batch > 0 {
-		params.Batch = *batch
-	}
 	if *queue {
 		params.QueueModel = true
 	}
@@ -140,7 +132,6 @@ func main() {
 		}
 		r.Exec = &shard.Coordinator{
 			Shards:  nShards,
-			Batch:   params.Batch,
 			Command: cmdline,
 			Log:     r.Log,
 		}

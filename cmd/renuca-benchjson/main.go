@@ -18,7 +18,7 @@
 // the CI perf guard:
 //
 //	renuca-benchjson -baseline old/BENCH.json -current BENCH.json \
-//	    -guard BenchmarkSuiteThroughput/batch8 -max-drop-pct 10
+//	    -guard BenchmarkSuiteThroughput/pool -max-drop-pct 10
 //
 // exits nonzero when the guarded benchmark's per_sec in -current has
 // dropped more than -max-drop-pct percent below -baseline. A baseline that

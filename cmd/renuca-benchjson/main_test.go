@@ -111,7 +111,7 @@ func TestSummarizeNoResults(t *testing.T) {
 // must not fail its own guard), and a benchmark absent from the current
 // summary fails (it silently vanished from the bench run).
 func TestRunGuard(t *testing.T) {
-	const guard = "BenchmarkSuiteThroughput/batch8"
+	const guard = "BenchmarkSuiteThroughput/pool"
 	dir := t.TempDir()
 	base := writeDoc(t, dir, "base.json", []Entry{{Name: guard, PerSec: 1.0}})
 	cases := []struct {

@@ -9,7 +9,6 @@
 //	renuca-sim -policy rnuca -workload WL3 -instr 1000000
 //	renuca-sim -all -workload WL1                  (all 5 policies, in parallel)
 //	renuca-sim -all -workload WL1 -shards 4        (all 5 policies, 4 worker processes)
-//	renuca-sim -all -workload WL1 -batch 5         (all 5 policies, one lane-batched tick loop)
 //	renuca-sim -queue -workload WL1                (FIFO bank-queue contention model)
 //
 // With -all, the five policies simulate concurrently on a bounded worker
@@ -18,8 +17,6 @@
 // any worker count. With -shards N (or RENUCA_SHARDS), the simulations run
 // on N supervised worker processes instead — same bytes on stdout; the
 // wall-clock banner goes to stderr so outputs diff cleanly across modes.
-// With -batch B (or RENUCA_BATCH), units run B per pool task (or B per
-// shard dispatch) through the lane-batched executor — again the same bytes.
 //
 // With -queue, the LLC banks run the per-bank FIFO queue contention model
 // instead of the legacy bounded-window model: every request is charged its
@@ -83,7 +80,6 @@ func main() {
 	all := flag.Bool("all", false, "run all five policies on the workload, in parallel, and print a comparison")
 	workers := flag.Int("workers", 0, "max concurrent simulations with -all (0 = RENUCA_WORKERS or one per CPU)")
 	shards := flag.Int("shards", 0, "with -all: run simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	batch := flag.Int("batch", 0, "with -all: lane-batch B simulations per task through one shared tick loop (0 = RENUCA_BATCH or unbatched)")
 	queue := flag.Bool("queue", false, "arm the per-bank FIFO queue contention model (op-history and service histograms)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	flag.Parse()
@@ -145,8 +141,7 @@ func main() {
 	o.BankContentionWindow = uint32(*cwindow)
 
 	if *all {
-		runAllPolicies(wlName, o, *workers,
-			pool.DefaultShards(*shards), pool.DefaultBatch(*batch))
+		runAllPolicies(wlName, o, *workers, pool.DefaultShards(*shards))
 		return
 	}
 
@@ -222,13 +217,12 @@ func main() {
 // core.Unit carrying the caller's fully-resolved base Options (same seed
 // and knobs, only the policy varies), executed either on the in-process
 // worker pool or — with shards > 0 — on supervised worker processes via
-// the shard coordinator; batch > 1 lane-batches units on either path. All
-// modes file reports positionally and print the identical table, so they
+// the shard coordinator. Both modes file reports positionally and print the identical table, so they
 // diff clean on stdout (wall-clock and supervision chatter go to stderr).
 // With base.QueueModel set, the units run the FIFO bank-queue contention
 // model and a second table of op-history and queueing totals follows the
 // comparison.
-func runAllPolicies(wlName string, base core.Options, workers, shards, batch int) {
+func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 	policies := nuca.Policies()
 	units := make([]core.Unit, len(policies))
 	for i, p := range policies {
@@ -247,7 +241,6 @@ func runAllPolicies(wlName string, base core.Options, workers, shards, batch int
 		}
 		coord := &shard.Coordinator{
 			Shards:  shards,
-			Batch:   batch,
 			Command: cmdline,
 			Log: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
@@ -262,16 +255,13 @@ func runAllPolicies(wlName string, base core.Options, workers, shards, batch int
 		mode = fmt.Sprintf("shards=%d", shards)
 	} else {
 		pl := pool.New(pool.DefaultWorkers(workers))
-		reps, err := core.RunUnitsOn(pl, units, batch)
+		reps, err := core.RunUnitsOn(pl, units)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
 			os.Exit(1)
 		}
 		copy(reports, reps)
 		mode = fmt.Sprintf("workers=%d", pl.Size())
-	}
-	if batch > 1 {
-		mode += fmt.Sprintf(" batch=%d", batch)
 	}
 
 	fmt.Fprintf(os.Stderr, "# all policies, instr/core=%d %s wall=%s\n",

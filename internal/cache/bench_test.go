@@ -50,57 +50,6 @@ func BenchmarkCacheFill(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCacheLookup measures the lane-interleaved probe pattern the
-// batched executor produces — eight L2-geometry lanes probed round-robin —
-// under the two backing disciplines: "private" gives every lane its own
-// self-owned frame array (eight scattered heap objects), "windowed" stacks
-// all lanes into one [lane*stride+idx] Backing and hands each lane a window
-// into it. The probe stream is identical in both, so the delta isolates the
-// state-plane layout.
-func BenchmarkBatchCacheLookup(b *testing.B) {
-	const lanes = 8
-	cfg := Config{Name: "bench", SizeBytes: 256 << 10, Ways: 8, LineBytes: 64, Latency: 5}
-	lanesOf := func(mk func(lane int) *Cache) []*Cache {
-		cs := make([]*Cache, lanes)
-		for l := range cs {
-			cs[l] = mk(l)
-		}
-		return cs
-	}
-	run := func(b *testing.B, cs []*Cache) {
-		addrs := benchAddrs(8192, 2*cs[0].Lines())
-		for _, c := range cs {
-			for _, a := range addrs {
-				if !c.Lookup(a, false) {
-					c.Fill(a, false)
-				}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cs[i&(lanes-1)].Lookup(addrs[i&8191], i&7 == 0)
-		}
-	}
-	b.Run("private", func(b *testing.B) {
-		run(b, lanesOf(func(int) *Cache { return MustNew(cfg) }))
-	})
-	b.Run("windowed", func(b *testing.B) {
-		stride, err := BackingLines(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plane := make(Backing, lanes*stride)
-		run(b, lanesOf(func(l int) *Cache {
-			c, err := NewWindowed(cfg, plane[uint64(l)*stride:uint64(l+1)*stride])
-			if err != nil {
-				b.Fatal(err)
-			}
-			return c
-		}))
-	})
-}
-
 // TestLookupFrameDoesNotAllocate pins the hot probe path to zero heap
 // allocations so a regression fails CI instead of silently slowing sweeps.
 func TestLookupFrameDoesNotAllocate(t *testing.T) {

@@ -149,52 +149,16 @@ func CheckTagWidth(cfg Config, addrBits uint) error {
 	return nil
 }
 
-// Backing is an externally-owned frame array a Cache can adopt instead of
-// allocating its own (see NewWindowed). Its elements are opaque outside
-// this package; callers size one with make(cache.Backing, n) where n comes
-// from BackingLines — typically one lane's window of a batch-wide
-// struct-of-arrays allocation (internal/simbatch's state plane).
-type Backing []way
-
-// BackingLines validates cfg's geometry and returns the number of line
-// frames a Cache built from it holds — the exact length of the Backing
-// window NewWindowed requires.
-func BackingLines(cfg Config) (uint64, error) {
-	g, err := resolve(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return g.lines, nil
-}
-
-// New builds a cache from cfg with a self-owned frame array. It returns an
-// error when the geometry does not divide evenly or set/line counts are not
-// powers of two.
+// New builds a cache from cfg. It returns an error when the geometry does
+// not divide evenly or set/line counts are not powers of two.
 func New(cfg Config) (*Cache, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned frame window: backing
-// must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingLines(cfg) frames. The window is cleared on adoption — every
-// frame empty, recency reset — so reusing a window still dirty from a
-// retired simulation is indistinguishable from a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*Cache, error) {
 	g, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if backing == nil {
-		backing = make(Backing, g.lines)
-	} else if uint64(len(backing)) != g.lines {
-		return nil, fmt.Errorf("cache %s: backing window holds %d frames, geometry needs %d",
-			cfg.Name, len(backing), g.lines)
-	} else {
-		clear(backing)
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     backing,
+		sets:     make([]way, g.lines),
 		numSets:  g.numSets,
 		setMask:  g.numSets - 1,
 		setBits:  uint(bitsFor(g.numSets)),

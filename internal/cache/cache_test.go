@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
@@ -23,6 +24,14 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %s: expected error", cfg.Name)
 		}
+	}
+}
+
+// TestFrameSize pins the packed frame: at 8 bytes an 8-way set fills one
+// CPU cache line, and a Table I System's 524,288 LLC frames take 4 MiB.
+func TestFrameSize(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 8 {
+		t.Errorf("cache frame is %d bytes, want 8", n)
 	}
 }
 

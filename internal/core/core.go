@@ -145,8 +145,7 @@ func config(o Options) (sim.Config, error) {
 	}
 	if o.ReRAMWriteLatency != 0 {
 		cfg.LLC.WriteLatency = o.ReRAMWriteLatency
-		// Slower writes hold the array longer before the bank frees.
-		cfg.LLC.WriteOccupancy = o.ReRAMWriteLatency / 5
+		cfg.LLC.WriteOccupancy = o.ReRAMWriteLatency / nuca.WriteOccupancyDivisor
 	}
 	if len(o.Apps) != cfg.Cores {
 		return cfg, fmt.Errorf("core: %d apps for %d cores", len(o.Apps), cfg.Cores)
@@ -154,17 +153,8 @@ func config(o Options) (sim.Config, error) {
 	return cfg, nil
 }
 
-// newSystem builds the simulator for fully-resolved Options. It is the
-// single construction path shared by the serial Run and the lane-batched
-// executor, so both modes simulate the identical machine.
+// newSystem builds the simulator for fully-resolved Options.
 func newSystem(o Options) (*sim.System, error) {
-	return newSystemIn(o, nil)
-}
-
-// newSystemIn is newSystem adopting caller-owned state windows (nil w
-// allocates privately); the lane-batched executor builds each lane's
-// System inside its window of the batch-wide state plane.
-func newSystemIn(o Options, w *sim.Windows) (*sim.System, error) {
 	cfg, err := config(o)
 	if err != nil {
 		return nil, err
@@ -177,7 +167,7 @@ func newSystemIn(o Options, w *sim.Windows) (*sim.System, error) {
 		}
 		profs = append(profs, p)
 	}
-	return sim.NewWindowed(cfg, profs, w)
+	return sim.New(cfg, profs)
 }
 
 // NewSystem builds the simulator for fully-resolved Options, exposing the
@@ -273,16 +263,7 @@ func RunSuite(base Options, workloads []workload.Workload) (SuiteReport, error) 
 // seed derived from (base.Seed, workload name), and results are aggregated
 // in workload order, so the report is identical whatever the pool size.
 func RunSuiteOn(pl *pool.Pool, base Options, workloads []workload.Workload) (SuiteReport, error) {
-	return RunSuiteBatchedOn(pl, 0, base, workloads)
-}
-
-// RunSuiteBatchedOn is RunSuiteOn with a lane-batch width: with batch > 1
-// and at least batch ready units, consecutive units group into lane
-// batches that advance through one shared tick loop per pool task (see
-// RunUnitsOn). Batched and unbatched suites are byte-identical.
-func RunSuiteBatchedOn(pl *pool.Pool, batch int, base Options, workloads []workload.Workload) (SuiteReport, error) {
-	units := SuiteUnits("", base, workloads)
-	reports, err := RunUnitsOn(pl, units, batch)
+	reports, err := RunUnitsOn(pl, SuiteUnits("", base, workloads))
 	if err != nil {
 		return SuiteReport{}, err
 	}
@@ -334,6 +315,25 @@ func RunUnit(u Unit) (Report, error) {
 	}
 	rep.Workload = u.Workload
 	return rep, nil
+}
+
+// RunUnitsOn executes units over the pool, one pool task per unit, and
+// returns their Reports positionally. The first failing unit (lowest index
+// among those observed) aborts the run with its error.
+func RunUnitsOn(pl *pool.Pool, units []Unit) ([]Report, error) {
+	reports := make([]Report, len(units))
+	err := pl.Map(len(units), func(i int) error {
+		rep, err := RunUnit(units[i])
+		if err != nil {
+			return err
+		}
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return reports, nil
 }
 
 // AggregateSuite folds per-workload Reports (in workload order) into the

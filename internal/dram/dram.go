@@ -72,12 +72,6 @@ type Stats struct {
 }
 
 // Memory is the DDR3 model. Not safe for concurrent use.
-//
-// Bank state is laid out struct-of-arrays over one flat uint64 word array
-// (the scheduler's open-row windows, then per-bank window depths, then
-// per-bank next-free timestamps, then per-channel bus-free timestamps) so
-// a batch harness can stack many Memories' state into one backing
-// allocation (see NewWindowed).
 type Memory struct {
 	cfg       Config
 	rows      []uint64 // open-row windows, bank-major: [bank*SchedulerRows+slot]
@@ -119,56 +113,19 @@ func validate(cfg Config) (int, error) {
 	return cfg.Channels * cfg.RanksPerChan * cfg.BanksPerRank, nil
 }
 
-// Backing is an externally-owned word array a Memory can adopt instead of
-// allocating its own (see NewWindowed). Layout, with nb total banks and
-// S = SchedulerRows: [nb*S open-row slots | nb window depths | nb bank
-// next-free stamps | Channels bus-free stamps]. Size one with
-// make(dram.Backing, n) where n comes from BackingWords.
-type Backing []uint64
-
-// BackingWords validates cfg and returns the number of uint64 words of
-// bank/bus state a Memory built from it holds — the exact length
-// NewWindowed requires of a non-nil backing.
-func BackingWords(cfg Config) (int, error) {
-	nb, err := validate(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return nb*cfg.SchedulerRows + 2*nb + cfg.Channels, nil
-}
-
-// New validates cfg and builds the memory model with self-owned state.
-// Channel, rank and bank counts must be powers of two so address decoding
-// is bit slicing.
+// New validates cfg and builds the memory model. Channel, rank and bank
+// counts must be powers of two so address decoding is bit slicing.
 func New(cfg Config) (*Memory, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned state window: backing
-// must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingWords(cfg) words, which are zeroed on adoption so a window
-// still dirty from a retired simulation behaves like a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*Memory, error) {
 	nb, err := validate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	words := nb*cfg.SchedulerRows + 2*nb + cfg.Channels
-	if backing == nil {
-		backing = make(Backing, words)
-	} else if len(backing) != words {
-		return nil, fmt.Errorf("dram: backing window holds %d words, config needs %d",
-			len(backing), words)
-	} else {
-		clear(backing)
-	}
-	rowWords := nb * cfg.SchedulerRows
 	m := &Memory{
 		cfg:      cfg,
-		rows:     backing[:rowWords:rowWords],
-		rowLen:   backing[rowWords : rowWords+nb : rowWords+nb],
-		nextFree: backing[rowWords+nb : rowWords+2*nb : rowWords+2*nb],
-		busFree:  backing[rowWords+2*nb : words:words],
+		rows:     make([]uint64, nb*cfg.SchedulerRows),
+		rowLen:   make([]uint64, nb),
+		nextFree: make([]uint64, nb),
+		busFree:  make([]uint64, cfg.Channels),
 		numBanks: nb,
 	}
 	m.chanBits = log2u(uint64(cfg.Channels))

@@ -41,14 +41,6 @@ type Params struct {
 	// 0 means auto: RENUCA_WORKERS if set, else one worker per CPU.
 	// Results are byte-identical for every worker count.
 	Workers int //lint:allow optflow concurrency cap only: byte-identical results for every worker count, never reaches Options
-	// Batch is the lane width of the lane-batched executor
-	// (internal/simbatch): suites whose ready-unit count reaches Batch run
-	// that many simulations per pool task through one shared tick loop.
-	// 0 or 1 keeps the reference one-simulation-per-task path. Results are
-	// byte-identical for every lane width (the CI batch-smoke job
-	// byte-compares), so memo keys deliberately exclude it.
-	//lint:allow keyflow lane width is result-invariant by the batch-equivalence contract; folding it in would only fragment the memo cache
-	Batch int //lint:allow optflow lane width only: byte-identical results for every lane width, never reaches Options
 	// QueueModel arms the per-bank FIFO queue contention model in every
 	// suite and ablation the Runner executes (core.Options.QueueModel).
 	// Off by default: the legacy windowed model keeps all existing goldens
@@ -82,7 +74,7 @@ func DefaultParams() Params {
 
 // ParamsFromEnv starts from DefaultParams and applies the RENUCA_INSTR,
 // RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP, RENUCA_SEED,
-// RENUCA_WORKERS, RENUCA_BATCH and RENUCA_QUEUE environment overrides, so
+// RENUCA_WORKERS and RENUCA_QUEUE environment overrides, so
 // benchmark runs can be scaled without editing code. RENUCA_QUEUE=1 (or
 // "true") arms the bank-queue contention model across all experiments.
 //
@@ -132,7 +124,6 @@ func ParamsFromEnv() Params {
 	get32("RENUCA_WRITE_LAT", &p.ReRAMWriteLatency)
 	get32("RENUCA_CWINDOW", &p.BankContentionWindow)
 	p.Workers = pool.DefaultWorkers(0)
-	p.Batch = pool.DefaultBatch(0)
 	return p
 }
 
@@ -265,10 +256,9 @@ func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 // mutable between calls — and PR 8's derived queue Runner exists precisely
 // because "same key, different Params" silently returns the other
 // configuration's results. Keying on the resolved Params makes that class
-// of stale hit impossible (keyflow enforces it statically). Workers and
-// Batch are deliberately excluded: results are byte-identical for every
-// worker count and lane width, so folding them in would only fragment the
-// cache.
+// of stale hit impossible (keyflow enforces it statically). Workers is
+// deliberately excluded: results are byte-identical for every worker
+// count, so folding it in would only fragment the cache.
 func (r *Runner) memoKey(base string) string {
 	p := r.P
 	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d q%t l2b%d l3b%d rob%d th%g wl%t lat%d cw%d",
@@ -280,11 +270,9 @@ func (r *Runner) memoKey(base string) string {
 
 // suiteSet runs (or returns the memoised) five-policy suite for a variant.
 // The five policies fan out concurrently; each policy's ten workloads fan
-// out inside core.RunSuiteBatchedOn — per-unit pool tasks by default, lane
-// groups through the shared batch tick loop when P.Batch selects them. All
-// leaf simulations gate on the shared pool, and every result lands at its
-// (policy, workload) position, so the suite is identical for any worker
-// count and lane width. With Exec set, the same units ship to worker
+// out inside core.RunSuiteOn as per-unit pool tasks. All leaf simulations
+// gate on the shared pool, and every result lands at its (policy, workload)
+// position, so the suite is identical for any worker count. With Exec set, the same units ship to worker
 // processes instead — same positions, same aggregation, same bytes.
 func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 	return r.suiteFlight.Do(r.memoKey(v.Key), func() (map[string]core.SuiteReport, error) {
@@ -300,7 +288,7 @@ func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 				p := policies[i]
 				o := r.policyOptions(v, p)
 				r.logf(v.Key, "policy %-8s (10 workloads x %d instr/core)", p, o.InstrPerCore)
-				sr, err := core.RunSuiteBatchedOn(r.pool, r.P.Batch, o, r.workloads())
+				sr, err := core.RunSuiteOn(r.pool, o, r.workloads())
 				if err != nil {
 					return fmt.Errorf("variant %s: %w", v.Key, err)
 				}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,16 +43,6 @@ func TestSuiteGoldenOutput(t *testing.T) {
 	parallelP := tinyParams()
 	parallelP.Workers = 8
 	compareGolden(t, "Workers=8", renderSuiteOutputs(t, parallelP), string(want))
-
-	// The lane-batched executor must leave the bytes alone too, at every
-	// lane width: 1 (degenerate), 4 (groups with a remainder), 8 (lanes
-	// retire and refill across a policy's ten workloads).
-	for _, b := range []int{1, 4, 8} {
-		bp := tinyParams()
-		bp.Workers = 8
-		bp.Batch = b
-		compareGolden(t, fmt.Sprintf("Batch=%d", b), renderSuiteOutputs(t, bp), string(want))
-	}
 }
 
 // renderContentionOutputs renders the bank-contention study (queue model
@@ -72,9 +61,8 @@ func renderContentionOutputs(t *testing.T, p Params) string {
 // TestContentionGoldenOutput is TestSuiteGoldenOutput's twin for the
 // queue-model-on suite: the contention study's rendered op-history counts
 // and per-bank service-latency histograms are pinned byte-for-byte, at
-// Workers=1 and 8 and at every lane width of the batched executor — the
-// queue model (timestamps, histograms, the op-history map) must stay
-// deterministic under every execution mode. Regenerate deliberately with
+// Workers=1 and 8 — the queue model (timestamps, histograms, the
+// op-history map) must stay deterministic under every execution mode. Regenerate deliberately with
 // go test ./internal/experiments -run ContentionGolden -update.
 func TestContentionGoldenOutput(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "tiny_suite_queue.golden")
@@ -102,13 +90,6 @@ func TestContentionGoldenOutput(t *testing.T) {
 	parallelP := tinyParams()
 	parallelP.Workers = 8
 	compareGolden(t, "Workers=8", renderContentionOutputs(t, parallelP), string(want))
-
-	for _, b := range []int{1, 4, 8} {
-		bp := tinyParams()
-		bp.Workers = 8
-		bp.Batch = b
-		compareGolden(t, fmt.Sprintf("Batch=%d", b), renderContentionOutputs(t, bp), string(want))
-	}
 }
 
 // compareGolden fails with the first differing line rather than dumping two

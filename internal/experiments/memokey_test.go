@@ -7,9 +7,9 @@ import (
 )
 
 // TestMemoKeyCoversResultAffectingParams mutates every result-affecting
-// Params field and checks the Flight memo key changes, while the two
-// result-invariant execution knobs (Workers, Batch — byte-identical output
-// for any value, enforced by the CI smoke diffs) deliberately do not.
+// Params field and checks the Flight memo key changes, while the
+// result-invariant execution knob (Workers — byte-identical output for any
+// value, enforced by the CI smoke diffs) deliberately does not.
 func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 	base := NewRunner(DefaultParams()).memoKey("suite")
 
@@ -38,7 +38,6 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 
 	invariant := []func(*Params){
 		func(p *Params) { p.Workers += 3 },
-		func(p *Params) { p.Batch += 3 },
 	}
 	for i, mut := range invariant {
 		p := DefaultParams()

@@ -70,49 +70,6 @@ func TestShardedSuiteGolden(t *testing.T) {
 	}
 }
 
-// TestShardedBatchedSuiteGolden layers the lane-batched executor on top of
-// the multi-process runner: units ship to the workers in bursts of 4 and
-// each worker advances its burst through one shared tick loop — and the
-// rendered suite must still match the single-process golden byte for byte.
-func TestShardedBatchedSuiteGolden(t *testing.T) {
-	r := NewRunner(tinyParams())
-	coord := shardCoordinator(t, 2)
-	coord.Batch = 4
-	r.Exec = coord
-	compareGolden(t, "Shards=2,Batch=4", renderSuiteOutputsOn(t, r), readSuiteGolden(t))
-
-	cs, ws := coord.Stats()
-	if cs.Units != 50 || ws.UnitsRun != 50 {
-		t.Errorf("coordinator ran %d/%d units, want 50/50", ws.UnitsRun, cs.Units)
-	}
-	if cs.WorkerDeaths != 0 || cs.Retries != 0 || cs.Timeouts != 0 {
-		t.Errorf("healthy batched run recorded failures: %+v", cs)
-	}
-}
-
-// TestShardedBatchedSurvivesWorkerCrash kills every worker upon receiving
-// its 8th unit — mid-burst, since bursts carry 4 — so the coordinator must
-// re-dispatch ALL units the dead worker still held, not just one, and the
-// recovered suite must still match the golden.
-func TestShardedBatchedSurvivesWorkerCrash(t *testing.T) {
-	r := NewRunner(tinyParams())
-	coord := shardCoordinator(t, 2, "RENUCA_SHARD_CRASH_AFTER=7")
-	coord.Batch = 4
-	// Every death strands a whole burst, so units burn retries four at a
-	// time; widen the budget so recovery, not exhaustion, is what's tested.
-	coord.Retries = 8
-	r.Exec = coord
-	compareGolden(t, "batched crash-recovery", renderSuiteOutputsOn(t, r), readSuiteGolden(t))
-
-	cs, _ := coord.Stats()
-	if cs.WorkerDeaths == 0 {
-		t.Error("fault injection never killed a worker")
-	}
-	if cs.Retries == 0 || cs.Dispatched <= cs.Units {
-		t.Errorf("no stranded burst unit was re-dispatched: %+v", cs)
-	}
-}
-
 // TestShardedSuiteSurvivesWorkerCrash combines the fault injection with
 // the golden: every worker process is killed after completing 7 units
 // (dying while holding an 8th), so the coordinator restarts workers and

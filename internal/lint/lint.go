@@ -29,8 +29,8 @@
 //     bearing packages (coherence, cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
 //
-// And the concurrency-safety contract — the pool/shard/simbatch supervision
-// stack cannot deadlock, leak goroutines or timers, or let lanes alias:
+// And the concurrency-safety contract — the pool/shard supervision stack
+// cannot deadlock or leak goroutines or timers:
 //
 //   - goroleak: every goroutine launch carries a visible join (WaitGroup
 //     Add/Done pairing, owned done-channel close, or result send);
@@ -40,11 +40,7 @@
 //     NewTimer/NewTicker/AfterFunc without a visible Stop;
 //   - selectabort: internal/shard supervision waits must be escapable —
 //     selects carry an abort/done/timer case or a default, bare receives
-//     only from join channels;
-//   - laneiso: //lint:soa SoA backings touched only inside their
-//     //lint:soawindow stride helper, //lint:soalane per-lane slices
-//     single-lane-indexed and never sub-sliced, no package-level vars in
-//     lane-isolated packages.
+//     only from join channels.
 //
 // And the config-plumbing contract — every result is a pure function of a
 // fully-resolved core.Options + seed, so every knob must flow end to end
@@ -133,7 +129,7 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all sixteen analyzers. optflow
+// NewAnalyzers returns fresh instances of all fifteen analyzers. optflow
 // and keyflow share one field-provenance engine so the whole-program graph
 // is built once per run.
 func NewAnalyzers() []*Analyzer {
@@ -152,7 +148,6 @@ func NewAnalyzers() []*Analyzer {
 		newMutexHold(),
 		newTimerLeak(),
 		newSelectAbort(),
-		newLaneIso(),
 		newOptFlow(engine),
 		newKeyFlow(engine),
 	}

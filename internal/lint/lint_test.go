@@ -158,7 +158,6 @@ func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
 func TestMutexHoldFixture(t *testing.T)      { runFixture(t, "mutexhold") }
 func TestTimerLeakFixture(t *testing.T)      { runFixture(t, "timerleak") }
 func TestSelectAbortFixture(t *testing.T)    { runFixture(t, "selectabort") }
-func TestLaneIsoFixture(t *testing.T)        { runFixture(t, "laneiso") }
 
 // TestLoaderSkipsTaggedOutFiles pins the loader's build-constraint
 // filtering: the buildtag fixture's two files declare the same names under
@@ -238,7 +237,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
 	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,statreg,invariantcall," +
-		"goroleak,mutexhold,timerleak,selectabort,laneiso,optflow,keyflow"
+		"goroleak,mutexhold,timerleak,selectabort,optflow,keyflow"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)
 	}

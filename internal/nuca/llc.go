@@ -70,8 +70,17 @@ type Config struct {
 	IntraBankPeriod uint64
 }
 
+// WriteOccupancyDivisor ties a bank's write occupancy to its array write
+// latency: a write holds the bank WriteLatency/WriteOccupancyDivisor
+// cycles before the bank accepts the next request (20 of Table I's 100).
+// DefaultConfig derives its WriteOccupancy this way, and the write-latency
+// knob (core.Options.ReRAMWriteLatency) rescales it with the latency it
+// sets, so slower writes hold the array proportionally longer.
+const WriteOccupancyDivisor = 5
+
 // DefaultConfig returns Table I's LLC configuration with the S-NUCA policy.
 func DefaultConfig() Config {
+	const bankLatency = 100
 	return Config{
 		Policy:         SNUCA,
 		NumBanks:       16,
@@ -80,10 +89,10 @@ func DefaultConfig() Config {
 		LineBytes:      64,
 		MeshWidth:      4,
 		MeshHeight:     4,
-		BankLatency:    100,
-		WriteLatency:   100,
+		BankLatency:    bankLatency,
+		WriteLatency:   bankLatency,
 		BankOccupancy:  4,
-		WriteOccupancy: 20,
+		WriteOccupancy: bankLatency / WriteOccupancyDivisor,
 		DirLatency:     250,
 
 		QueueModel:           false,
@@ -203,26 +212,6 @@ type LLC struct {
 	coreBankMask int    // NumBanks-1, int-typed for the Private mapping
 }
 
-// New builds the LLC. wear must be configured with matching bank count and
-// frames per bank.
-func New(cfg Config, wear *rram.Wear) (*LLC, error) {
-	return NewWindowed(cfg, wear, nil, nil)
-}
-
-// BackingLines validates cfg's bank geometry and returns the total number
-// of line frames across all banks — the exact length of the cache.Backing
-// window NewWindowed requires.
-func BackingLines(cfg Config) (uint64, error) {
-	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
-		return 0, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
-	}
-	per, err := cache.BackingLines(BankConfig(cfg, 0))
-	if err != nil {
-		return 0, err
-	}
-	return uint64(cfg.NumBanks) * per, nil
-}
-
 // BankConfig returns the cache configuration of LLC bank b.
 func BankConfig(cfg Config, b int) cache.Config {
 	return cache.Config{
@@ -234,13 +223,9 @@ func BankConfig(cfg Config, b int) cache.Config {
 	}
 }
 
-// NewWindowed is New adopting externally-owned state windows: frames must
-// be nil (each bank allocates privately, exactly New's behaviour) or hold
-// BackingLines(cfg) line frames, split bank-major across the NumBanks bank
-// caches; bankFree must be nil or hold NumBanks bank-free timestamps,
-// zeroed on adoption. The windowed caches reset their sub-windows
-// themselves, so a dirty window behaves like a fresh allocation.
-func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []uint64) (*LLC, error) {
+// New builds the LLC. wear must be configured with matching bank count and
+// frames per bank.
+func New(cfg Config, wear *rram.Wear) (*LLC, error) {
 	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
 		return nil, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
 	}
@@ -259,22 +244,9 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 		return nil, fmt.Errorf("nuca: wear tracker geometry (%d banks x %d frames) does not match LLC (%d x %d)",
 			wc.Banks, wc.FramesPerBank, cfg.NumBanks, cfg.BankBytes/cfg.LineBytes)
 	}
-	linesPerBank := cfg.BankBytes / cfg.LineBytes
-	if frames != nil && uint64(len(frames)) != uint64(cfg.NumBanks)*linesPerBank {
-		return nil, fmt.Errorf("nuca: frame window holds %d lines, geometry needs %d",
-			len(frames), uint64(cfg.NumBanks)*linesPerBank)
-	}
-	if bankFree != nil && len(bankFree) != cfg.NumBanks {
-		return nil, fmt.Errorf("nuca: bank-free window holds %d stamps, geometry needs %d",
-			len(bankFree), cfg.NumBanks)
-	}
 	l := &LLC{cfg: cfg, wear: wear}
 	for b := 0; b < cfg.NumBanks; b++ {
-		var win cache.Backing
-		if frames != nil {
-			win = frames[uint64(b)*linesPerBank : uint64(b+1)*linesPerBank]
-		}
-		c, err := cache.NewWindowed(BankConfig(cfg, b), win)
+		c, err := cache.New(BankConfig(cfg, b))
 		if err != nil {
 			return nil, err
 		}
@@ -287,13 +259,8 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 		}
 		l.rmap = rm
 	}
-	l.frames = linesPerBank
-	if bankFree == nil {
-		bankFree = make([]uint64, cfg.NumBanks)
-	} else {
-		clear(bankFree)
-	}
-	l.bankFree = bankFree
+	l.frames = cfg.BankBytes / cfg.LineBytes
+	l.bankFree = make([]uint64, cfg.NumBanks)
 	if cfg.WriteLatency == 0 {
 		l.cfg.WriteLatency = cfg.BankLatency
 	}

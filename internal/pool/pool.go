@@ -53,24 +53,6 @@ func DefaultShards(explicit int) int {
 	return 0
 }
 
-// DefaultBatch resolves the lane width of the lane-batched executor: an
-// explicit positive request wins, then the RENUCA_BATCH environment
-// variable, then 0 — meaning "unbatched, one simulation per pool task".
-// Like sharding, batching is opt-in: the per-unit pool path is the
-// reference execution mode, and a batch only engages when a suite hands
-// the pool at least one full lane group of ready units.
-func DefaultBatch(explicit int) int {
-	if explicit > 0 {
-		return explicit
-	}
-	if v := os.Getenv("RENUCA_BATCH"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
 // Pool is a bounded set of execution slots. A single Pool is shared across
 // every suite and characterisation run a Runner launches, so total
 // simulation concurrency — and therefore peak memory — is capped at Size

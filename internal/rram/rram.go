@@ -45,9 +45,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Wear tracks per-frame write counts for every LLC bank. Frame counters
-// are one flat bank-major array so a batch harness can stack many Wears'
-// state into one backing allocation (see NewWindowed).
+// Wear tracks per-frame write counts for every LLC bank.
 type Wear struct {
 	cfg        Config
 	frames     []uint32 // [bank*FramesPerBank+frame] -> writes
@@ -67,47 +65,14 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// Backing is an externally-owned frame-counter array a Wear can adopt
-// instead of allocating its own (see NewWindowed). Size one with
-// make(rram.Backing, n) where n comes from BackingWords.
-type Backing []uint32
-
-// BackingWords validates cfg and returns the number of uint32 frame
-// counters a Wear built from it holds — the exact length NewWindowed
-// requires of a non-nil backing.
-func BackingWords(cfg Config) (uint64, error) {
-	if err := validate(cfg); err != nil {
-		return 0, err
-	}
-	return uint64(cfg.Banks) * cfg.FramesPerBank, nil
-}
-
-// New builds the wear tracker with self-owned frame counters.
+// New builds the wear tracker.
 func New(cfg Config) (*Wear, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned frame-counter window:
-// backing must be nil (a private array is allocated, exactly New's
-// behaviour) or hold BackingWords(cfg) counters, which are zeroed on
-// adoption so a window still dirty from a retired simulation behaves like
-// a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*Wear, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	words := uint64(cfg.Banks) * cfg.FramesPerBank
-	if backing == nil {
-		backing = make(Backing, words)
-	} else if uint64(len(backing)) != words {
-		return nil, fmt.Errorf("rram: backing window holds %d counters, config needs %d",
-			len(backing), words)
-	} else {
-		clear(backing)
-	}
 	return &Wear{
 		cfg:        cfg,
-		frames:     backing,
+		frames:     make([]uint32, uint64(cfg.Banks)*cfg.FramesPerBank),
 		bankWrites: make([]uint64, cfg.Banks),
 		maxFrame:   make([]uint32, cfg.Banks),
 	}, nil

@@ -26,12 +26,6 @@ type Coordinator struct {
 	// Shards is how many worker processes to run (min 1, capped at the
 	// batch size).
 	Shards int
-	// Batch, when > 1, co-schedules up to that many queued units per
-	// dispatch as one burst: the worker advances the whole group through
-	// the lane-batched executor (internal/simbatch) instead of one unit at
-	// a time, amortising scheduler dispatch across the group. <= 1 keeps
-	// the classic one-unit protocol. Reports are byte-identical either way.
-	Batch int
 	// Command launches one worker: argv[0] and arguments. Workers speak
 	// the shard protocol on stdin/stdout — in practice the host binary
 	// re-executing itself with its hidden -shard-worker flag (see
@@ -41,11 +35,7 @@ type Coordinator struct {
 	// worker.
 	Env []string
 	// Timeout bounds one unit's wall time on a worker; a unit that blows
-	// it is treated like a worker death (reap, restart, re-dispatch). In a
-	// lane-batched burst, where pending units share one tick loop and so
-	// each progresses at a fraction of serial speed, the bound between
-	// consecutive answers is Timeout scaled by the pending-unit count —
-	// size Timeout for ONE serial unit either way.
+	// it is treated like a worker death (reap, restart, re-dispatch).
 	// Zero means a generous default sized for full-scale suite units.
 	// (Wall-clock here guards the harness, never the results; the timer
 	// reads themselves live at the use sites.)
@@ -135,11 +125,6 @@ func (c *Coordinator) RunUnits(units []core.Unit) ([]core.Report, error) {
 	case retries < 0:
 		retries = 0
 	}
-	batch := c.Batch
-	if batch < 2 {
-		batch = 1
-	}
-
 	c.mu.Lock()
 	c.cstats = CoordStats{Units: uint64(n)}
 	c.wstats = WorkerStats{}
@@ -199,40 +184,25 @@ func (c *Coordinator) RunUnits(units []core.Unit) ([]core.Report, error) {
 			case <-abort:
 				return nil
 			case idx := <-queue:
-				idxs := gather(queue, idx, batch)
 				if w == nil {
 					nw, err := c.startWorker(slot)
 					if err != nil {
-						fail(idxs[0], fmt.Errorf("shard %d: starting worker: %w", slot, err))
+						fail(idx, fmt.Errorf("shard %d: starting worker: %w", slot, err))
 						continue
 					}
 					w = nw
 				}
 				c.mu.Lock()
-				c.cstats.Dispatched += uint64(len(idxs))
+				c.cstats.Dispatched++
 				c.mu.Unlock()
-				var (
-					outstanding []int
-					failIdx     int
-					msg         string
-					st          unitStatus
-				)
-				if len(idxs) == 1 {
-					var rep core.Report
-					rep, msg, st = c.runOn(w, idx, units[idx], timeout, abort)
-					if st == unitOK {
-						reports[idx] = rep
-						w.completed++
-						complete()
-					}
-					outstanding, failIdx = idxs, idx
-				} else {
-					outstanding, failIdx, msg, st = c.runBurstOn(w, idxs, units, reports, timeout, abort, complete)
-				}
+				rep, msg, st := c.runOn(w, idx, units[idx], timeout, abort)
 				switch st {
 				case unitOK:
+					reports[idx] = rep
+					w.completed++
+					complete()
 				case unitFailed:
-					fail(failIdx, fmt.Errorf("shard: unit %s: %s", units[failIdx].ID, msg))
+					fail(idx, fmt.Errorf("shard: unit %s: %s", units[idx].ID, msg))
 				case workerDead:
 					progressed := w.completed
 					w.kill()
@@ -240,45 +210,38 @@ func (c *Coordinator) RunUnits(units []core.Unit) ([]core.Report, error) {
 					c.mu.Lock()
 					c.cstats.WorkerDeaths++
 					c.mu.Unlock()
-					// Every unit the dead worker still held is re-dispatched;
-					// units it had already answered stay answered. The retry
-					// budget is charged only when the worker completed nothing
-					// in its whole lifetime: a death after progress says the
-					// infrastructure failed, not that the stranded units are
-					// poisoned, so their re-dispatch is free. Termination stays
-					// bounded — every free re-dispatch is licensed by at least
-					// one completed unit, and there are only n completions to
-					// spend; a worker that never completes anything keeps
-					// charging until some unit's budget runs out.
-					exhausted := false
-					for _, oi := range outstanding {
-						if progressed > 0 {
-							c.mu.Lock()
-							c.cstats.Retries++
-							c.mu.Unlock()
-							c.logf("shard %d: %s; re-dispatching unit %s (free: worker had completed %d units)", slot, msg, units[oi].ID, progressed)
-							queue <- oi
-							continue
-						}
-						mu.Lock()
-						tries[oi]++
-						attempt := tries[oi]
-						mu.Unlock()
-						if attempt > retries {
-							fail(oi, fmt.Errorf("shard: unit %s: %s (re-dispatch budget of %d exhausted)", units[oi].ID, msg, retries))
-							exhausted = true
-							break
-						}
+					// The unit the dead worker held is re-dispatched. The
+					// retry budget is charged only when the worker completed
+					// nothing in its whole lifetime: a death after progress
+					// says the infrastructure failed, not that the stranded
+					// unit is poisoned, so its re-dispatch is free.
+					// Termination stays bounded — every free re-dispatch is
+					// licensed by at least one completed unit, and there are
+					// only n completions to spend; a worker that never
+					// completes anything keeps charging until some unit's
+					// budget runs out.
+					if progressed > 0 {
 						c.mu.Lock()
 						c.cstats.Retries++
-						c.cstats.Charged++
 						c.mu.Unlock()
-						c.logf("shard %d: %s; re-dispatching unit %s (attempt %d of %d)", slot, msg, units[oi].ID, attempt+1, retries+1)
-						queue <- oi
-					}
-					if exhausted {
+						c.logf("shard %d: %s; re-dispatching unit %s (free: worker had completed %d units)", slot, msg, units[idx].ID, progressed)
+						queue <- idx
 						continue
 					}
+					mu.Lock()
+					tries[idx]++
+					attempt := tries[idx]
+					mu.Unlock()
+					if attempt > retries {
+						fail(idx, fmt.Errorf("shard: unit %s: %s (re-dispatch budget of %d exhausted)", units[idx].ID, msg, retries))
+						continue
+					}
+					c.mu.Lock()
+					c.cstats.Retries++
+					c.cstats.Charged++
+					c.mu.Unlock()
+					c.logf("shard %d: %s; re-dispatching unit %s (attempt %d of %d)", slot, msg, units[idx].ID, attempt+1, retries+1)
+					queue <- idx
 				case runAborted:
 					return nil
 				}
@@ -303,119 +266,6 @@ func (c *Coordinator) RunUnits(units []core.Unit) ([]core.Report, error) {
 		cs.Units, shards, cs.Dispatched, cs.Retries, cs.Charged, cs.Timeouts, cs.WorkerStarts, cs.WorkerDeaths,
 		ws.UnitsRun, ws.UnitsFailed, ws.InstrSimulated, ws.MeasuredCycles)
 	return reports, nil
-}
-
-// gather collects one dispatch group: the unit already pulled from the
-// queue plus up to batch-1 more immediately-available ones. It never
-// blocks — a slot with only one ready unit dispatches it alone rather than
-// waiting for co-schedulable work, so batching can only add throughput,
-// never idle a worker.
-func gather(queue chan int, first, batch int) []int {
-	idxs := []int{first}
-	for len(idxs) < batch {
-		select {
-		case j := <-queue:
-			idxs = append(idxs, j)
-		default:
-			return idxs
-		}
-	}
-	return idxs
-}
-
-// runBurstOn ships one lane-batched group to a worker and collects its
-// per-unit answers, filing each delivered Report immediately. The worker
-// streams one answer per unit as its lane retires, so answers arrive in
-// retirement order (matched by seq, not position). Because the pending
-// units advance interleaved through one shared tick loop, a lane retires
-// only after roughly pending-many units' worth of wall time — so the
-// progress deadline between consecutive answers is the per-unit timeout
-// scaled by how many units are still pending, shrinking as answers land.
-// On a worker death or timeout it returns the units still unanswered (in
-// dispatch order) for re-dispatch; delivered units stay delivered. A
-// deterministic unit failure aborts, exactly like runOn.
-func (c *Coordinator) runBurstOn(w *workerProc, idxs []int, units []core.Unit, reports []core.Report, timeout time.Duration, abort <-chan struct{}, complete func()) (outstanding []int, failIdx int, msg string, st unitStatus) {
-	// The whole burst is outstanding from the moment dispatch starts: a
-	// write that fails partway (the worker died mid-dispatch) must hand the
-	// unwritten tail back for re-dispatch too, or those units would never
-	// be answered, re-queued, or failed and the run would deadlock.
-	pending := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		pending[i] = true
-	}
-	left := func() []int {
-		var out []int
-		for _, i := range idxs {
-			if pending[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for k, i := range idxs {
-		m := unitMsg{Seq: i, Unit: units[i]}
-		if k == 0 {
-			m.Burst = len(idxs)
-		}
-		b, err := json.Marshal(m)
-		if err != nil {
-			return nil, i, fmt.Sprintf("encoding unit: %v", err), unitFailed
-		}
-		b = append(b, '\n')
-		if _, err := w.in.Write(b); err != nil {
-			return left(), 0, fmt.Sprintf("dispatch write failed: %v", err), workerDead
-		}
-	}
-	deadline := func() time.Duration {
-		return time.Duration(len(pending)) * timeout
-	}
-	t := time.NewTimer(deadline())
-	defer t.Stop()
-	rearm := func() {
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		t.Reset(deadline())
-	}
-	for {
-		select {
-		case m, ok := <-w.msgs:
-			if !ok {
-				return left(), 0, "worker died mid-burst", workerDead
-			}
-			switch {
-			case m.Kind == msgResult && pending[m.Seq] && m.Report != nil:
-				reports[m.Seq] = *m.Report
-				delete(pending, m.Seq)
-				w.completed++
-				complete()
-				if len(pending) == 0 {
-					return nil, 0, "", unitOK
-				}
-				rearm()
-			case m.Kind == msgError && pending[m.Seq]:
-				delete(pending, m.Seq)
-				return left(), m.Seq, m.Error, unitFailed
-			case m.Kind == msgStats && m.Stats != nil:
-				// See runOn: impossible while stdin is open, folded anyway.
-				c.mu.Lock()
-				stats.MergeNumeric(&c.wstats, m.Stats)
-				c.mu.Unlock()
-			default:
-				return left(), 0, fmt.Sprintf("protocol violation: %q message (seq %d) during a %d-unit burst", m.Kind, m.Seq, len(idxs)), workerDead
-			}
-		case <-t.C:
-			c.mu.Lock()
-			c.cstats.Timeouts++
-			c.mu.Unlock()
-			return left(), 0, fmt.Sprintf("burst made no progress within %s (%d pending units x %s per-unit timeout)", deadline(), len(pending), timeout), workerDead
-		case <-abort:
-			return nil, 0, "", runAborted
-		}
-	}
 }
 
 // runOn ships one unit to a worker and waits for its answer, the per-unit

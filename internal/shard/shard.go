@@ -11,13 +11,6 @@
 //
 //	{"seq": 12, "unit": {"ID": "actual/Re-NUCA/WL3", "Workload": "WL3", "Opts": {...}}}
 //
-// A lane-batched coordinator (Coordinator.Batch > 1) ships groups: the
-// first unit of a group carries "burst": B and B-1 more unit lines follow
-// immediately; the worker runs the group through the lane-batched executor
-// (core.RunUnitsLanesFunc) and streams the same per-unit result lines as
-// each lane retires — in retirement order, matched by seq — so bursts
-// change scheduling only, never the bytes of any Report.
-//
 // Worker -> coordinator (stdout), one JSON object per line:
 //
 //	{"kind": "result", "seq": 12, "id": "...", "report": {...}}   per unit
@@ -56,15 +49,10 @@ const (
 // truncates the pipe, while still catching a runaway/corrupt stream.
 const maxLine = 16 << 20
 
-// unitMsg is one unit of work sent to a worker. Burst, set on the first
-// unit of a lane-batched group, announces how many units (itself included)
-// the coordinator is shipping back-to-back; the worker gathers the whole
-// group before running it through the lane-batched executor. Absent or <= 1
-// means the classic one-unit-at-a-time protocol.
+// unitMsg is one unit of work sent to a worker.
 type unitMsg struct {
-	Seq   int       `json:"seq"` // coordinator-side unit index
-	Burst int       `json:"burst,omitempty"`
-	Unit  core.Unit `json:"unit"`
+	Seq  int       `json:"seq"` // coordinator-side unit index
+	Unit core.Unit `json:"unit"`
 }
 
 // workerMsg is one worker -> coordinator message.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -248,168 +247,6 @@ func TestCoordinatorDeterministicErrorAborts(t *testing.T) {
 	}
 }
 
-// TestWorkerBurstRoundTrip drives RunWorker through one 3-unit burst
-// in-memory: one streamed result line per unit — matched by seq, whatever
-// retirement order the lanes produce — byte-identical to serial runs, then
-// the stats line accounting for all three.
-func TestWorkerBurstRoundTrip(t *testing.T) {
-	units := tinyUnits(t, 3)
-	var in bytes.Buffer
-	for seq, u := range units {
-		m := unitMsg{Seq: seq, Unit: u}
-		if seq == 0 {
-			m.Burst = len(units)
-		}
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.Write(append(b, '\n'))
-	}
-	var out bytes.Buffer
-	if err := RunWorker(&in, &out); err != nil {
-		t.Fatalf("RunWorker: %v", err)
-	}
-	results := make(map[int]*core.Report)
-	var ws *WorkerStats
-	sc := bufio.NewScanner(&out)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
-	for sc.Scan() {
-		var m workerMsg
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("undecodable worker line %q: %v", sc.Text(), err)
-		}
-		switch m.Kind {
-		case msgResult:
-			results[m.Seq] = m.Report
-		case msgStats:
-			ws = m.Stats
-		default:
-			t.Fatalf("unexpected %s message in a clean burst: %+v", m.Kind, m)
-		}
-	}
-	if len(results) != len(units) {
-		t.Fatalf("got results for %d of %d burst units", len(results), len(units))
-	}
-	for i, u := range units {
-		want, err := core.RunUnit(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i] == nil || !reflect.DeepEqual(*results[i], want) {
-			t.Errorf("unit %s: burst report differs from serial", u.ID)
-		}
-	}
-	if ws == nil || ws.UnitsRun != 3 || ws.UnitsFailed != 0 {
-		t.Errorf("worker stats = %+v, want 3 clean units", ws)
-	}
-}
-
-// failAfterWriter fails every Write after the first n, standing in for a
-// worker whose stdin pipe broke mid-dispatch (EPIPE after it died).
-type failAfterWriter struct{ n, writes int }
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes > w.n {
-		return 0, errors.New("broken pipe")
-	}
-	return len(p), nil
-}
-
-func (w *failAfterWriter) Close() error { return nil }
-
-// TestBurstWriteFailureReturnsWholeBurst pins the re-dispatch contract
-// when a dispatch write fails partway through a burst: every unanswered
-// unit — including the ones never written — must come back outstanding.
-// Dropping the unwritten tail would leave those units unaccounted for and
-// deadlock RunUnits.
-func TestBurstWriteFailureReturnsWholeBurst(t *testing.T) {
-	units := tinyUnits(t, 4)
-	msgs := make(chan workerMsg)
-	close(msgs)
-	w := &workerProc{in: &failAfterWriter{n: 2}, msgs: msgs}
-	var c Coordinator
-	outstanding, _, msg, st := c.runBurstOn(w, []int{0, 1, 2, 3}, units, make([]core.Report, len(units)), time.Second, nil, func() {})
-	if st != workerDead {
-		t.Fatalf("status = %v, want workerDead", st)
-	}
-	if !strings.Contains(msg, "dispatch write failed") {
-		t.Errorf("msg %q does not name the write failure", msg)
-	}
-	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(outstanding, want) {
-		t.Errorf("outstanding = %v, want the whole burst %v", outstanding, want)
-	}
-}
-
-// TestCoordinatorBurstRunsUnits is the happy path for lane-batched bursts:
-// with Batch=3 a slot co-schedules three queued units per dispatch and the
-// streamed answers file positionally, byte-identical to in-process runs.
-func TestCoordinatorBurstRunsUnits(t *testing.T) {
-	units := tinyUnits(t, 6)
-	c := newTestCoordinator(t, 2)
-	c.Batch = 3
-	got, err := c.RunUnits(units)
-	if err != nil {
-		t.Fatalf("RunUnits: %v", err)
-	}
-	checkReports(t, units, got)
-	cs, ws := c.Stats()
-	if cs.WorkerDeaths != 0 || cs.Retries != 0 || cs.Timeouts != 0 {
-		t.Errorf("healthy burst run recorded failures: %+v", cs)
-	}
-	if ws.UnitsRun != 6 || ws.UnitsFailed != 0 {
-		t.Errorf("merged worker stats = %+v, want 6 clean units", ws)
-	}
-}
-
-// TestCoordinatorBurstCrashRetry injects a worker death mid-burst: the
-// worker exits abruptly while receiving the second unit of its second
-// 3-unit burst, so the whole undelivered burst must be re-dispatched —
-// whether the remaining dispatch writes landed in the pipe buffer or
-// failed with EPIPE — and the replacement worker must finish it.
-func TestCoordinatorBurstCrashRetry(t *testing.T) {
-	units := tinyUnits(t, 6)
-	c := newTestCoordinator(t, 1, "RENUCA_SHARD_CRASH_AFTER=4")
-	c.Batch = 3
-	got, err := c.RunUnits(units)
-	if err != nil {
-		t.Fatalf("RunUnits with a mid-burst crash: %v", err)
-	}
-	checkReports(t, units, got)
-	cs, _ := c.Stats()
-	if cs.WorkerDeaths != 1 || cs.WorkerStarts != 2 {
-		t.Errorf("stats = %+v, want exactly one death and one replacement", cs)
-	}
-	if cs.Retries != 3 {
-		t.Errorf("Retries = %d, want the whole 3-unit burst re-dispatched", cs.Retries)
-	}
-}
-
-// TestCoordinatorBurstHangTimeout injects a mid-burst hang and pins the
-// scaled progress deadline: with 3 units interleaving through one tick
-// loop the reaper must allow 3 x Timeout between answers — long enough
-// for the healthy first burst, short enough to reap the wedged worker —
-// then re-dispatch the whole stranded burst.
-func TestCoordinatorBurstHangTimeout(t *testing.T) {
-	units := tinyUnits(t, 6)
-	c := newTestCoordinator(t, 1, "RENUCA_SHARD_HANG_AFTER=4")
-	c.Batch = 3
-	c.Timeout = 500 * time.Millisecond
-	got, err := c.RunUnits(units)
-	if err != nil {
-		t.Fatalf("RunUnits with a mid-burst hang: %v", err)
-	}
-	checkReports(t, units, got)
-	cs, _ := c.Stats()
-	if cs.Timeouts == 0 {
-		t.Errorf("hanging burst was never timed out: %+v", cs)
-	}
-	if cs.Retries != 3 {
-		t.Errorf("Retries = %d, want the whole 3-unit burst re-dispatched", cs.Retries)
-	}
-}
-
 // TestCoordinatorRetryBudget: a worker command that always dies must not
 // loop forever — the budget exhausts and the run fails with the cause.
 func TestCoordinatorRetryBudget(t *testing.T) {
@@ -433,14 +270,14 @@ func TestCoordinatorRetryBudget(t *testing.T) {
 }
 
 // TestCoordinatorStress hammers the supervision stack with randomized
-// crash and hang injection across a (shards, batch, fault) scenario
-// matrix: whatever chaos the faults produce, the merged reports must stay
+// crash and hang injection across a (shards, fault) scenario matrix:
+// whatever chaos the faults produce, the merged reports must stay
 // identical to in-process serial runs of the same units, and no injected
 // death may consume retry budget (each strikes only after its worker has
-// completed at least one dispatch group). The seed is fixed so a failure
-// reproduces; variety comes from the matrix, not run-to-run randomness.
+// completed at least one unit). The seed is fixed so a failure reproduces;
+// variety comes from the matrix, not run-to-run randomness.
 // CI runs this under -race, where it doubles as a data-race sweep of the
-// whole coordinator/worker/burst path.
+// whole coordinator/worker path.
 func TestCoordinatorStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker subprocesses; skipped in -short")
@@ -451,26 +288,22 @@ func TestCoordinatorStress(t *testing.T) {
 	scenarios := []struct {
 		name   string
 		shards int
-		batch  int
 		fault  string
 		// after is drawn from [minAfter, maxAfter]. The floor keeps every
-		// injected death "free": at least one full dispatch group (<= batch
-		// units) completes before the fault arms, so progress-aware retry
-		// accounting never charges a unit and the run cannot abort. The
+		// injected death "free": at least one unit completes before the
+		// fault arms, so progress-aware retry accounting never charges a
+		// unit and the run cannot abort. The
 		// ceiling guarantees the fault fires at all: with 8 units over at
 		// most 2 shards, some worker always receives maxAfter+1 units.
 		minAfter, maxAfter int
 	}{
-		{"crash_serial", 1, 1, envCrashAfter, 1, 3},
-		{"crash_burst", 1, 3, envCrashAfter, 3, 4},
-		{"hang_serial", 2, 1, envHangAfter, 2, 3},
-		{"hang_burst", 2, 2, envHangAfter, 2, 3},
+		{"crash_serial", 1, envCrashAfter, 1, 3},
+		{"hang_serial", 2, envHangAfter, 2, 3},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			after := sc.minAfter + rng.Intn(sc.maxAfter-sc.minAfter+1)
 			c := newTestCoordinator(t, sc.shards, fmt.Sprintf("%s=%d", sc.fault, after))
-			c.Batch = sc.batch
 			if sc.fault == envHangAfter {
 				// Hangs are only detected by the progress deadline; keep it
 				// short enough to reap promptly, long enough for a healthy

@@ -36,82 +36,36 @@ func envInt(name string) int {
 }
 
 // RunWorker is the worker half of the shard protocol: it reads unit lines
-// from r until EOF, runs each unit in-process via core.RunUnit — or each
-// burst-announced group via the lane-batched executor — and writes one
-// result (or error) line per unit to w, followed by a single stats line.
-// It is the body of the hidden -shard-worker mode of renuca-sim and
+// from r until EOF, runs each unit in-process via core.RunUnit, and writes
+// one result (or error) line per unit to w, followed by a single stats
+// line. It is the body of the hidden -shard-worker mode of renuca-sim and
 // renuca-bench; nothing else may write to w (stdout) while it runs, or the
 // line protocol is corrupted.
 //
 // Within one worker, execution is strictly sequential: process-level
-// parallelism is the coordinator's job (N workers). A burst group advances
-// its units through one shared tick loop (lane width = group size), which
-// amortises scheduler dispatch without growing the blast radius beyond the
-// group the coordinator chose to co-schedule.
+// parallelism is the coordinator's job (N workers).
 func RunWorker(r io.Reader, w io.Writer) error {
-	wk := &worker{
-		crashAfter: envInt(envCrashAfter),
-		hangAfter:  envInt(envHangAfter),
-		bw:         bufio.NewWriter(w),
-		sc:         bufio.NewScanner(r),
-	}
-	wk.sc.Buffer(make([]byte, 64<<10), maxLine)
-	for {
-		um, ok, err := wk.readUnit()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		group := []unitMsg{um}
-		for len(group) < um.Burst {
-			next, ok, err := wk.readUnit()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("shard worker: stdin closed %d units into a burst of %d", len(group), um.Burst)
-			}
-			group = append(group, next)
-		}
-		if err := wk.runGroup(group); err != nil {
-			return err
-		}
-	}
-	return writeMsg(wk.bw, workerMsg{Kind: msgStats, Stats: &wk.ws})
-}
-
-// worker carries RunWorker's streaming state so burst gathering and group
-// execution share the scanner, writer, counters and fault-injection hooks.
-type worker struct {
-	crashAfter, hangAfter int
-	bw                    *bufio.Writer
-	sc                    *bufio.Scanner
-	ws                    WorkerStats
-	seen                  int
-}
-
-// readUnit pulls the next unit line (skipping blanks), applying the
-// fault-injection hooks at the exact per-unit points the supervision tests
-// expect: a crash or hang triggered mid-burst leaves every accepted unit of
-// that burst unanswered, the shape the coordinator must recover from.
-func (wk *worker) readUnit() (unitMsg, bool, error) {
-	for wk.sc.Scan() {
-		line := wk.sc.Bytes()
+	crashAfter, hangAfter := envInt(envCrashAfter), envInt(envHangAfter)
+	bw := bufio.NewWriter(w)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), maxLine)
+	var ws WorkerStats
+	seen := 0
+	for sc.Scan() {
+		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var um unitMsg
 		if err := json.Unmarshal(line, &um); err != nil {
-			return unitMsg{}, false, fmt.Errorf("shard worker: undecodable unit line: %w", err)
+			return fmt.Errorf("shard worker: undecodable unit line: %w", err)
 		}
-		wk.seen++
-		if wk.crashAfter > 0 && wk.seen > wk.crashAfter {
-			wk.bw.Flush()
+		seen++
+		if crashAfter > 0 && seen > crashAfter {
+			bw.Flush()
 			os.Exit(3) // fault injection: die holding an unfinished unit
 		}
-		if wk.hangAfter > 0 && wk.seen > wk.hangAfter {
+		if hangAfter > 0 && seen > hangAfter {
 			// Fault injection: accept the unit, never answer. Sleep rather
 			// than block on a channel so the runtime's deadlock detector
 			// doesn't turn the hang into a crash.
@@ -119,55 +73,25 @@ func (wk *worker) readUnit() (unitMsg, bool, error) {
 				time.Sleep(time.Hour)
 			}
 		}
-		return um, true, nil
-	}
-	if err := wk.sc.Err(); err != nil {
-		return unitMsg{}, false, fmt.Errorf("shard worker: reading units: %w", err)
-	}
-	return unitMsg{}, false, nil
-}
-
-// runGroup executes one dispatch group — a single unit via core.RunUnit, a
-// burst via the lane-batched executor — and answers one message per unit.
-// Burst answers stream as each lane retires, so they arrive in retirement
-// order, not group order (the coordinator matches them by seq), and the
-// coordinator sees progress per unit instead of one silence spanning the
-// whole group. Both paths produce identical Reports and identical error
-// text; the coordinator cannot tell them apart except by throughput.
-func (wk *worker) runGroup(group []unitMsg) error {
-	if len(group) == 1 {
-		um := group[0]
 		rep, err := core.RunUnit(um.Unit)
 		if err != nil {
-			return wk.answer(um, core.UnitResult{Err: err})
+			ws.UnitsFailed++
+			if err := writeMsg(bw, workerMsg{Kind: msgError, Seq: um.Seq, ID: um.Unit.ID, Error: err.Error()}); err != nil {
+				return err
+			}
+			continue
 		}
-		return wk.answer(um, core.UnitResult{Report: rep})
-	}
-	units := make([]core.Unit, len(group))
-	for i, um := range group {
-		units[i] = um.Unit
-	}
-	// A failed answer write means the coordinator is gone; remember the
-	// first failure, let the executor drain, and report it after.
-	var werr error
-	core.RunUnitsLanesFunc(units, len(units), func(i int, r core.UnitResult) {
-		if werr == nil {
-			werr = wk.answer(group[i], r)
+		ws.UnitsRun++
+		ws.InstrSimulated += um.Unit.Opts.InstrPerCore * uint64(len(um.Unit.Opts.Apps))
+		ws.MeasuredCycles += rep.MeasuredCycles
+		if err := writeMsg(bw, workerMsg{Kind: msgResult, Seq: um.Seq, ID: um.Unit.ID, Report: &rep}); err != nil {
+			return err
 		}
-	})
-	return werr
-}
-
-// answer writes one unit's result or error line and books its statistics.
-func (wk *worker) answer(um unitMsg, r core.UnitResult) error {
-	if r.Err != nil {
-		wk.ws.UnitsFailed++
-		return writeMsg(wk.bw, workerMsg{Kind: msgError, Seq: um.Seq, ID: um.Unit.ID, Error: r.Err.Error()})
 	}
-	wk.ws.UnitsRun++
-	wk.ws.InstrSimulated += um.Unit.Opts.InstrPerCore * uint64(len(um.Unit.Opts.Apps))
-	wk.ws.MeasuredCycles += r.Report.MeasuredCycles
-	return writeMsg(wk.bw, workerMsg{Kind: msgResult, Seq: um.Seq, ID: um.Unit.ID, Report: &r.Report})
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("shard worker: reading units: %w", err)
+	}
+	return writeMsg(bw, workerMsg{Kind: msgStats, Stats: &ws})
 }
 
 // writeMsg emits one protocol line and flushes, so the coordinator sees

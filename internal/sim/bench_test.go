@@ -3,11 +3,7 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/dram"
 	"repro/internal/nuca"
-	"repro/internal/rram"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 )
 
@@ -57,92 +53,6 @@ func BenchmarkWalk(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Load(i&15, 0, addrs[i&(n-1)], i&3 == 0, cycle)
-				cycle += 4
-			}
-		})
-	}
-}
-
-// BenchmarkBatchWalk measures the lane-interleaved hierarchy walk the
-// batched executor drives — several full systems stepped round-robin, one
-// memory operation per lane per turn — under the two state layouts:
-// "private" builds every lane with self-owned subsystem arrays, "windowed"
-// stacks all lanes' L1/L2/LLC/TLB/DRAM/wear state into batch-wide planes
-// ([lane*stride+idx]) and hands each lane its window. The operation stream
-// is identical in both, so the delta is the state-plane layout alone.
-func BenchmarkBatchWalk(b *testing.B) {
-	const lanes = 4
-	cfg := DefaultConfig(nuca.ReNUCA)
-	build := func(b *testing.B, windowed bool) []*System {
-		b.Helper()
-		var planes struct {
-			l1, l2, llc cache.Backing
-			bankFree    []uint64
-			tlbs        tlb.Backing
-			drams       dram.Backing
-			wear        rram.Backing
-		}
-		d, err := StateDims(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if windowed {
-			planes.l1 = make(cache.Backing, lanes*int(d.L1Lines)*d.Cores)
-			planes.l2 = make(cache.Backing, lanes*int(d.L2Lines)*d.Cores)
-			planes.llc = make(cache.Backing, lanes*int(d.LLCLines))
-			planes.bankFree = make([]uint64, lanes*d.LLCBanks)
-			planes.tlbs = make(tlb.Backing, lanes*d.TLBEntries*d.Cores)
-			planes.drams = make(dram.Backing, lanes*d.DRAMWords)
-			planes.wear = make(rram.Backing, lanes*int(d.WearWords))
-		}
-		ss := make([]*System, lanes)
-		for l := range ss {
-			var w *Windows
-			if windowed {
-				l1s, l2s := uint64(d.Cores)*d.L1Lines, uint64(d.Cores)*d.L2Lines
-				ts := d.Cores * d.TLBEntries
-				w = &Windows{
-					L1:       planes.l1[uint64(l)*l1s : uint64(l+1)*l1s],
-					L2:       planes.l2[uint64(l)*l2s : uint64(l+1)*l2s],
-					LLC:      planes.llc[uint64(l)*d.LLCLines : uint64(l+1)*d.LLCLines],
-					BankFree: planes.bankFree[l*d.LLCBanks : (l+1)*d.LLCBanks],
-					TLB:      planes.tlbs[l*ts : (l+1)*ts],
-					DRAM:     planes.drams[l*d.DRAMWords : (l+1)*d.DRAMWords],
-					Wear:     planes.wear[uint64(l)*d.WearWords : uint64(l+1)*d.WearWords],
-				}
-			}
-			s, err := NewWindowed(cfg, benchApps(cfg.Cores), w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ss[l] = s
-		}
-		return ss
-	}
-	for _, lay := range []struct {
-		name     string
-		windowed bool
-	}{{"private", false}, {"windowed", true}} {
-		b.Run(lay.name, func(b *testing.B) {
-			ss := build(b, lay.windowed)
-			const n = 1 << 13
-			addrs := make([]uint64, n)
-			state := uint64(0x9E3779B97F4A7C15)
-			for i := range addrs {
-				state = state*6364136223846793005 + 1442695040888963407
-				addrs[i] = (state & (1<<20 - 1)) &^ 63
-			}
-			var cycle uint64
-			for _, s := range ss { // warm every lane's hierarchy
-				for i, a := range addrs {
-					s.Load(i&15, 0, a, i&3 == 0, cycle)
-					cycle += 4
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ss[i&(lanes-1)].Load(i&15, 0, addrs[i&(n-1)], i&3 == 0, cycle)
 				cycle += 4
 			}
 		})

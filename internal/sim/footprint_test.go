@@ -3,20 +3,16 @@ package sim
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
-	"repro/internal/cache"
 	"repro/internal/nuca"
 	"repro/internal/trace"
 )
 
 // TestSystemFootprint pins the bytes one Table I System allocates at
 // construction. Its 524,288 LLC frames dominate: at 8 bytes a frame the
-// whole System is about 7.8 MiB, where 16-byte frames made it 12.3 MiB.
+// whole System is about 7.8 MiB, where 16-byte frames made it 12.3 MiB
+// (cache's TestFrameSize pins the frame).
 func TestSystemFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(make(cache.Backing, 1)[0]); n != 8 {
-		t.Errorf("cache frame is %d bytes, want 8", n)
-	}
 	cfg := DefaultConfig(nuca.ReNUCA)
 	apps := testApps(cfg.Cores)
 	var before, after runtime.MemStats

@@ -35,62 +35,33 @@ func (s *System) ResetStats() {
 // wake schedule.
 const halted = ^uint64(0)
 
-// RunState is the resumable scheduler state of one Run window. The zero
-// value is inert until BeginRun arms it. It exists so an external driver —
-// the lane-batched executor in internal/simbatch — can advance a System in
-// bounded quanta, with the per-core wake schedule held in a caller-owned
-// slice (one contiguous lane window of a batch-wide SoA array).
-type RunState struct {
-	wake      []uint64 // per-core next-wake cycle; halted once frozen
-	remaining int      // cores still short of their instruction target
-	start     uint64   // cycle at BeginRun, anchoring the safety bound
-	instr     uint64   // per-core target, for the safety-bound error
-}
-
-// BeginRun arms a run of instrPerCore further instructions on every core
-// and records the scheduler state in rs. wake must either be nil (a private
-// slice is allocated) or hold one slot per core; it is the caller's way to
-// place the wake schedule inside a larger struct-of-arrays allocation. It
-// reports whether there is anything to execute: a zero instruction target
-// completes immediately, exactly like Run(0).
-func (s *System) BeginRun(rs *RunState, wake []uint64, instrPerCore uint64) bool {
+// Run executes until every core has committed instrPerCore further
+// instructions. A core halts once it crosses its target: its statistics
+// freeze and it stops generating traffic. (Letting finished cores run on
+// would keep late-window contention marginally more realistic for the
+// slowest core, but multiplies wall-clock by the IPC spread; the finished
+// cores are the low-write ones, so wear distributions are essentially
+// unaffected.) It returns an error if the safety cycle bound is exceeded.
+//
+// Each scheduler pass ticks every core due at the current cycle and, in
+// the same sweep, tracks the earliest wake among running cores, so the
+// next pass jumps straight there without a separate min-scan over the
+// wake list.
+//
+//lint:hotpath
+func (s *System) Run(instrPerCore uint64) error {
 	if instrPerCore == 0 {
-		rs.remaining = 0
-		return false
+		return nil
 	}
+	wake := s.nextWake
 	for i := range s.cores {
 		s.cores[i].SetTarget(instrPerCore)
 		s.isFrozen[i] = false
-	}
-	if wake == nil {
-		wake = make([]uint64, len(s.cores))
-	}
-	for i := range wake {
 		wake[i] = s.cycle
 	}
-	rs.wake = wake
-	rs.remaining = len(s.cores)
-	rs.start = s.cycle
-	rs.instr = instrPerCore
-	return true
-}
-
-// StepRun advances an armed run by at most maxPasses scheduler passes and
-// reports whether the run completed. Each pass ticks every core due at the
-// current cycle and, in the same sweep, tracks the earliest wake among
-// running cores, so the next pass jumps straight there without a separate
-// min-scan over the wake list. Chunking a run into StepRun quanta mutates
-// the System through the identical sequence of ticks as one uninterrupted
-// Run — lane-batched and serial execution are byte-identical by
-// construction.
-//
-//lint:hotpath
-func (s *System) StepRun(rs *RunState, maxPasses int) (bool, error) {
-	if rs.remaining <= 0 {
-		return true, nil
-	}
-	wake := rs.wake
-	for pass := 0; pass < maxPasses; pass++ {
+	remaining := len(s.cores)
+	start := s.cycle
+	for {
 		min := halted
 		for i := range s.cores {
 			w := wake[i]
@@ -102,7 +73,7 @@ func (s *System) StepRun(rs *RunState, maxPasses int) (bool, error) {
 						s.frozen[i] = s.counters[i]
 						s.doneAt[i] = at
 						w = halted
-						rs.remaining--
+						remaining--
 					}
 				}
 				wake[i] = w
@@ -111,48 +82,24 @@ func (s *System) StepRun(rs *RunState, maxPasses int) (bool, error) {
 				min = w
 			}
 		}
-		if rs.remaining == 0 {
-			return true, nil
+		if remaining == 0 {
+			return nil
 		}
 		if min > s.cycle {
 			s.cycle = min
 		}
-		if s.cycle-rs.start > s.cfg.MaxRunCycles {
-			return false, s.budgetExceeded(rs)
+		if s.cycle-start > s.cfg.MaxRunCycles {
+			return s.budgetExceeded(instrPerCore)
 		}
 	}
-	return false, nil
 }
 
 // budgetExceeded builds the safety-bound error. It lives outside the hot
 // loop so the formatting machinery (and its interface boxing) stays off the
-// StepRun fast path.
-func (s *System) budgetExceeded(rs *RunState) error {
+// Run fast path.
+func (s *System) budgetExceeded(instrPerCore uint64) error {
 	return fmt.Errorf("sim: exceeded %d cycles without reaching %d instructions per core",
-		s.cfg.MaxRunCycles, rs.instr)
-}
-
-// Run executes until every core has committed instrPerCore further
-// instructions. A core halts once it crosses its target: its statistics
-// freeze and it stops generating traffic. (Letting finished cores run on
-// would keep late-window contention marginally more realistic for the
-// slowest core, but multiplies wall-clock by the IPC spread; the finished
-// cores are the low-write ones, so wear distributions are essentially
-// unaffected.) It returns an error if the safety cycle bound is exceeded.
-func (s *System) Run(instrPerCore uint64) error {
-	if s.nextWake == nil {
-		s.nextWake = make([]uint64, len(s.cores))
-	}
-	var rs RunState
-	if !s.BeginRun(&rs, s.nextWake, instrPerCore) {
-		return nil
-	}
-	for {
-		done, err := s.StepRun(&rs, 1<<30)
-		if done || err != nil {
-			return err
-		}
-	}
+		s.cfg.MaxRunCycles, instrPerCore)
 }
 
 // Result summarises one measured run.

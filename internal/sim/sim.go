@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -150,11 +151,101 @@ type System struct {
 	nextWake []uint64 // per-core wake schedule, reused across Run calls
 }
 
-// New builds a system running the given application profiles, one per core,
-// with every subsystem owning its own state arrays. NewWindowed (state.go)
-// is the variant that stacks the hot state into caller-owned windows.
+// New builds a system running the given application profiles, one per core.
 func New(cfg Config, apps []trace.Profile) (*System, error) {
-	return NewWindowed(cfg, apps, nil)
+	if cfg.Cores <= 0 {
+		return nil, fmt.Errorf("sim: core count %d must be positive", cfg.Cores)
+	}
+	if len(apps) != cfg.Cores {
+		return nil, fmt.Errorf("sim: %d application profiles for %d cores", len(apps), cfg.Cores)
+	}
+	if cfg.ClockHz <= 0 {
+		return nil, fmt.Errorf("sim: clock %v must be positive", cfg.ClockHz)
+	}
+	// Every cache sees whole physical addresses, so each geometry must
+	// leave tags narrow enough for a frame at the System's address width.
+	addrBits := physAddrBits(cfg.Cores)
+	for _, cc := range []cache.Config{cfg.L1, cfg.L2, nuca.BankConfig(cfg.LLC, 0)} {
+		if err := cache.CheckTagWidth(cc, addrBits); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+
+	s := &System{cfg: cfg}
+	s.l1Lat = uint64(cfg.L1.Latency)
+	s.l2Lat = uint64(cfg.L2.Latency)
+	s.tlbMissLat = uint64(cfg.TLB.MissLatency)
+	s.lineMask = cfg.LLC.LineBytes - 1
+	var err error
+	if s.mesh, err = noc.New(cfg.NoC); err != nil {
+		return nil, err
+	}
+	if s.mem, err = dram.New(cfg.DRAM); err != nil {
+		return nil, err
+	}
+	wearCfg := rram.Config{
+		Banks:         cfg.LLC.NumBanks,
+		FramesPerBank: cfg.LLC.BankBytes / cfg.LLC.LineBytes,
+		Endurance:     cfg.Endurance,
+		ClockHz:       cfg.ClockHz,
+		CapYears:      cfg.LifetimeCap,
+	}
+	if s.wear, err = rram.New(wearCfg); err != nil {
+		return nil, err
+	}
+	if s.llc, err = nuca.New(cfg.LLC, s.wear); err != nil {
+		return nil, err
+	}
+	if s.dir, err = coherence.NewDirectory(cfg.Cores); err != nil {
+		return nil, err
+	}
+
+	s.counters = make([]CoreCounters, cfg.Cores)
+	s.frozen = make([]CoreCounters, cfg.Cores)
+	s.isFrozen = make([]bool, cfg.Cores)
+	s.doneAt = make([]uint64, cfg.Cores)
+	s.nextWake = make([]uint64, cfg.Cores)
+	s.coreTile = make([]int, cfg.Cores)
+	for i := range s.coreTile {
+		s.coreTile[i] = i % s.mesh.Tiles()
+	}
+
+	for i := 0; i < cfg.Cores; i++ {
+		l1cfg := cfg.L1
+		l1cfg.Name = fmt.Sprintf("L1D.%d", i)
+		l1, err := cache.New(l1cfg)
+		if err != nil {
+			return nil, err
+		}
+		l2cfg := cfg.L2
+		l2cfg.Name = fmt.Sprintf("L2.%d", i)
+		l2, err := cache.New(l2cfg)
+		if err != nil {
+			return nil, err
+		}
+		tb, err := tlb.New(cfg.TLB)
+		if err != nil {
+			return nil, err
+		}
+		cpt, err := predictor.New(cfg.CPT)
+		if err != nil {
+			return nil, err
+		}
+		gen, err := trace.NewAppGen(apps[i], cfg.Seed+uint64(i)*0x9e37)
+		if err != nil {
+			return nil, err
+		}
+		core, err := cpu.New(i, cfg.CPU, gen, s, cpt)
+		if err != nil {
+			return nil, err
+		}
+		s.l1 = append(s.l1, l1)
+		s.l2 = append(s.l2, l2)
+		s.tlbs = append(s.tlbs, tb)
+		s.gens = append(s.gens, gen)
+		s.cores = append(s.cores, core)
+	}
+	return s, nil
 }
 
 // MustNew is New that panics on error.

@@ -44,6 +44,49 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestStateDimsRejectsBadGeometry pins that construction rejects a bad
+// geometry before it allocates any per-core state, and that a valid
+// characterisation config yields every per-core and shared part.
+func TestStateDimsRejectsBadGeometry(t *testing.T) {
+	cfg := CharacterisationConfig()
+	cfg.Cores = 0
+	if _, err := New(cfg, nil); err == nil {
+		t.Error("zero cores accepted")
+	}
+	cfg = CharacterisationConfig()
+	cfg.L1.Ways = 0
+	if _, err := New(cfg, testApps(cfg.Cores)); err == nil {
+		t.Error("zero-way L1 accepted")
+	}
+	cfg = CharacterisationConfig()
+	s, err := New(cfg, testApps(cfg.Cores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.l1) != cfg.Cores || len(s.l2) != cfg.Cores || len(s.tlbs) != cfg.Cores ||
+		s.llc == nil || s.mem == nil || s.wear == nil {
+		t.Errorf("degenerate system for a valid config: %d L1s, %d L2s, %d TLBs", len(s.l1), len(s.l2), len(s.tlbs))
+	}
+}
+
+// TestRunExceedsMaxRunCycles drives a run into the safety cycle bound: Run
+// must stop with the bound's error text, and RunMeasured must attribute
+// it to the warmup phase it tripped in.
+func TestRunExceedsMaxRunCycles(t *testing.T) {
+	const want = "sim: exceeded 64 cycles without reaching 1000 instructions per core"
+	build := func() *System {
+		cfg := CharacterisationConfig()
+		cfg.MaxRunCycles = 64
+		return MustNew(cfg, []trace.Profile{trace.MustProfile("mcf")})
+	}
+	if err := build().Run(1_000); err == nil || err.Error() != want {
+		t.Errorf("Run error %v, want %q", err, want)
+	}
+	if _, err := build().RunMeasured(1_000, 5_000); err == nil || err.Error() != "warmup: "+want {
+		t.Errorf("RunMeasured error %v, want %q", err, "warmup: "+want)
+	}
+}
+
 func TestCharacterisationRunCompletes(t *testing.T) {
 	cfg := CharacterisationConfig()
 	s, err := New(cfg, []trace.Profile{trace.MustProfile("hmmer")})

@@ -26,19 +26,18 @@ func suiteBenchUnits(b *testing.B) []core.Unit {
 }
 
 // BenchmarkSuiteThroughput measures whole-suite execution — the metric the
-// harness optimises, in units/sec — under the three execution strategies:
-// one unit at a time on one worker (the serial floor), per-unit pool tasks
-// across all CPUs, and lane-batched groups of 8 over the same pool. One op
-// is one full 20-unit suite; the units/sec metric is what EXPERIMENTS.md's
-// throughput table quotes.
+// harness optimises, in units/sec — one unit at a time on one worker (the
+// serial floor) and per-unit pool tasks across all CPUs. One op is one full
+// 20-unit suite; the units/sec metric is what EXPERIMENTS.md's throughput
+// table quotes.
 func BenchmarkSuiteThroughput(b *testing.B) {
 	units := suiteBenchUnits(b)
-	run := func(b *testing.B, workers, batch int) {
+	run := func(b *testing.B, workers int) {
 		b.Helper()
 		pl := pool.New(workers)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunUnitsOn(pl, units, batch); err != nil {
+			if _, err := core.RunUnitsOn(pl, units); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -47,7 +46,6 @@ func BenchmarkSuiteThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.N*len(units))/secs, "units/sec")
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, 0) })
-	b.Run("pool", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), 0) })
-	b.Run("batch8", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), 8) })
+	b.Run("serial", func(b *testing.B) { run(b, 1) })
+	b.Run("pool", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }

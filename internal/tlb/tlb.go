@@ -106,49 +106,15 @@ func validate(cfg Config) (uint64, error) {
 	return numSets, nil
 }
 
-// Backing is an externally-owned entry array a TLB can adopt instead of
-// allocating its own (see NewWindowed). Elements are opaque outside this
-// package; size one with make(tlb.Backing, n) where n comes from
-// BackingEntries — typically one lane's window of a batch-wide
-// struct-of-arrays allocation.
-type Backing []entry
-
-// BackingEntries validates cfg and returns the number of entry slots a TLB
-// built from it holds — the exact length NewWindowed requires of a non-nil
-// backing.
-func BackingEntries(cfg Config) (int, error) {
-	if _, err := validate(cfg); err != nil {
-		return 0, err
-	}
-	return cfg.Entries, nil
-}
-
-// New validates cfg and builds the TLB with a self-owned entry array.
+// New validates cfg and builds the TLB.
 func New(cfg Config) (*TLB, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned entry window: backing
-// must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingEntries(cfg) slots. The window is cleared on adoption — every
-// slot empty, MBV and recency reset — so a window still dirty from a
-// retired simulation behaves like a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*TLB, error) {
 	numSets, err := validate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if backing == nil {
-		backing = make(Backing, cfg.Entries)
-	} else if len(backing) != cfg.Entries {
-		return nil, fmt.Errorf("tlb: backing window holds %d entries, config needs %d",
-			len(backing), cfg.Entries)
-	} else {
-		clear(backing)
-	}
 	return &TLB{
 		cfg:       cfg,
-		sets:      backing,
+		sets:      make([]entry, cfg.Entries),
 		numSets:   numSets,
 		setMask:   numSets - 1,
 		ways:      uint64(cfg.Ways),
