@@ -23,21 +23,20 @@
 // goroutines; stdout is byte-identical either way at the same seed.
 // Characterisation runs and sweeps stay in-process.
 //
-// With -queue (or RENUCA_QUEUE=1), every suite and ablation runs the
-// per-bank FIFO queue contention model instead of the legacy bounded-window
-// model. The contention experiment (-exp contention) arms it for its own
-// suite either way.
-//
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
-// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS, RENUCA_QUEUE.
+// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS.
 //
 // Hardware knobs (environment, zero/unset = the paper's Table I values):
 // RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
-// (criticality percent), RENUCA_INTRABANK_WL=1, RENUCA_WRITE_LAT and
-// RENUCA_CWINDOW (cycles). They override every suite the run executes; the
-// Runner folds them into its memo keys so differently-configured runs can
-// never share a cached suite.
+// (criticality percent), RENUCA_INTRABANK_WL=1 and RENUCA_WRITE_LAT
+// (cycles). They override every 16-core simulation the run executes: the
+// policy suites, the ablations (except the knob an ablation sweeps) and
+// the energy study. The Runner folds them into its memo keys so
+// differently-configured runs can never share a cached suite.
+//
+// A malformed knob, or a set knob of the removed FIFO bank-timing model,
+// exits 2 with a one-line message naming it.
 package main
 
 import (
@@ -60,7 +59,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = RENUCA_WORKERS or one per CPU)")
 	shards := flag.Int("shards", 0, "run suite simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	queue := flag.Bool("queue", false, "arm the per-bank FIFO queue contention model in every experiment (or RENUCA_QUEUE=1)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -110,12 +108,13 @@ func main() {
 		return
 	}
 
-	params := experiments.ParamsFromEnv()
+	params, err := experiments.ParamsFromEnv()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-bench:", strings.ReplaceAll(err.Error(), "\n", "; "))
+		os.Exit(2)
+	}
 	if *workers > 0 {
 		params.Workers = *workers
-	}
-	if *queue {
-		params.QueueModel = true
 	}
 	r := experiments.NewRunner(params)
 	if !*quiet {

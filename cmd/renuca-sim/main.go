@@ -9,7 +9,6 @@
 //	renuca-sim -policy rnuca -workload WL3 -instr 1000000
 //	renuca-sim -all -workload WL1                  (all 5 policies, in parallel)
 //	renuca-sim -all -workload WL1 -shards 4        (all 5 policies, 4 worker processes)
-//	renuca-sim -queue -workload WL1                (FIFO bank-queue contention model)
 //
 // With -all, the five policies simulate concurrently on a bounded worker
 // pool (RENUCA_WORKERS or -workers, default one per CPU) and a comparison
@@ -18,16 +17,15 @@
 // on N supervised worker processes instead — same bytes on stdout; the
 // wall-clock banner goes to stderr so outputs diff cleanly across modes.
 //
-// With -queue, the LLC banks run the per-bank FIFO queue contention model
-// instead of the legacy bounded-window model: every request is charged its
-// full wait behind in-flight occupancy, op-history transitions (RAR/RAW/
-// WAR/WAW) are counted, and per-bank read/write service-latency histograms
-// print after the standard breakdown.
+// A single run's breakdown includes a "bank queue:" line: the reads and
+// writes that waited for a busy LLC bank within the 64-cycle contention
+// window, their summed wait cycles, and the requests that slipped past a
+// bank busy beyond it.
 //
 // The Table I hardware knobs are flags too, for both run modes: -l2 and
 // -l3bank (bytes), -rob (entries), -threshold (criticality percent),
-// -intrabank-wl, -write-latency and -contention-window (cycles). Zero
-// keeps the paper's configuration.
+// -intrabank-wl and -write-latency (cycles). Zero keeps the paper's
+// configuration.
 package main
 
 import (
@@ -75,12 +73,10 @@ func main() {
 	rob := flag.Int("rob", 0, "ROB entries per core (0 = Table I 128)")
 	intraWL := flag.Bool("intrabank-wl", false, "enable the i2wap-style intra-bank wear-leveling extension")
 	writeLat := flag.Uint("write-latency", 0, "ReRAM array write latency in cycles (0 = read latency)")
-	cwindow := flag.Uint("contention-window", 0, "legacy bank contention window in cycles (0 = historical 64)")
 	listWL := flag.Bool("list-workloads", false, "print the standard workload mixes and exit")
 	all := flag.Bool("all", false, "run all five policies on the workload, in parallel, and print a comparison")
 	workers := flag.Int("workers", 0, "max concurrent simulations with -all (0 = RENUCA_WORKERS or one per CPU)")
 	shards := flag.Int("shards", 0, "with -all: run simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	queue := flag.Bool("queue", false, "arm the per-bank FIFO queue contention model (op-history and service histograms)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	flag.Parse()
 
@@ -132,13 +128,11 @@ func main() {
 	o.Warmup = *warmup
 	o.Seed = *seed
 	o.CriticalityThresholdPct = *threshold
-	o.QueueModel = *queue
 	o.L2Bytes = *l2
 	o.L3BankBytes = *l3bank
 	o.ROBEntries = *rob
 	o.IntraBankWL = *intraWL
 	o.ReRAMWriteLatency = uint32(*writeLat)
-	o.BankContentionWindow = uint32(*cwindow)
 
 	if *all {
 		runAllPolicies(wlName, o, *workers, pool.DefaultShards(*shards))
@@ -183,16 +177,9 @@ func main() {
 	fmt.Printf("\nLLC: read hits=%d misses=%d writebacks=%d (hit %d) fills=%d crit-fills=%d noncrit-fills=%d fallback probes=%d hits=%d\n",
 		llc.ReadHits, llc.ReadMisses, llc.Writebacks, llc.WritebackHits, llc.Fills,
 		llc.CriticalFills, llc.NonCriticalFills, llc.FallbackProbes, llc.FallbackHits)
-	if *queue {
-		q := llc.Queue
-		fmt.Printf("bank queue: RAR=%d RAW=%d WAR=%d WAW=%d reads queued=%d (%d wait cycles) writes queued=%d (%d wait cycles)\n",
-			q.RAR, q.RAW, q.WAR, q.WAW, q.ReadQueued, q.ReadWaitCycles, q.WriteQueued, q.WriteWaitCycles)
-		fmt.Println("per-bank service latency [cycles, log2 buckets]:")
-		for b, svc := range res.BankService {
-			fmt.Printf("  CB-%d reads %d: %s\n", b, svc.Read.Total(), svc.Read.String())
-			fmt.Printf("       writes %d: %s\n", svc.Write.Total(), svc.Write.String())
-		}
-	}
+	q := llc.Queue
+	fmt.Printf("bank queue: reads queued=%d (%d wait cycles) writes queued=%d (%d wait cycles) slipped=%d\n",
+		q.ReadQueued, q.ReadWaitCycles, q.WriteQueued, q.WriteWaitCycles, q.Slipped)
 	ns := s.Mesh().Stats()
 	fmt.Printf("NoC: messages=%d hops=%d stall-cycles=%d\n", ns.Messages, ns.TotalHops, ns.StallCycles)
 	ds := s.DRAM().Stats()
@@ -219,9 +206,6 @@ func main() {
 // worker pool or — with shards > 0 — on supervised worker processes via
 // the shard coordinator. Both modes file reports positionally and print the identical table, so they
 // diff clean on stdout (wall-clock and supervision chatter go to stderr).
-// With base.QueueModel set, the units run the FIFO bank-queue contention
-// model and a second table of op-history and queueing totals follows the
-// comparison.
 func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 	policies := nuca.Policies()
 	units := make([]core.Unit, len(policies))
@@ -275,16 +259,4 @@ func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 			stats.HarmonicMean(rep.BankLifetimes), rep.WriteImbalance, rep.LLCWrites())
 	}
 	w.Flush()
-	if base.QueueModel {
-		fmt.Println()
-		qw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(qw, "policy\tRAR\tRAW\tWAR\tWAW\trd queued\trd wait[cyc]\twr queued\twr wait[cyc]")
-		for _, rep := range reports {
-			q := rep.LLC.Queue
-			fmt.Fprintf(qw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				rep.Policy, q.RAR, q.RAW, q.WAR, q.WAW,
-				q.ReadQueued, q.ReadWaitCycles, q.WriteQueued, q.WriteWaitCycles)
-		}
-		qw.Flush()
-	}
 }

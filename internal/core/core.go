@@ -66,16 +66,6 @@ type Options struct {
 	// (orthogonal to the NUCA policy; improves first-failure lifetime).
 	IntraBankWL bool
 
-	// QueueModel arms the per-bank FIFO queue contention model (see
-	// nuca.Config.QueueModel): reads pay in full for colliding with
-	// in-flight ReRAM writes, and the Report carries op-history transition
-	// counts plus per-bank service-latency histograms. Off by default —
-	// the legacy windowed model keeps every existing result reproducible.
-	QueueModel bool
-	// BankContentionWindow overrides the legacy model's bank contention
-	// window in cycles (zero = the historical 64).
-	BankContentionWindow uint32
-
 	// ReRAMWriteLatency overrides the ReRAM array write time (default:
 	// equal to the 100-cycle read latency, as Table I's single figure).
 	// ReRAM writes are really 2-5x slower than reads; the write-latency
@@ -139,10 +129,6 @@ func config(o Options) (sim.Config, error) {
 		cfg.CPT.ThresholdPct = o.CriticalityThresholdPct
 	}
 	cfg.LLC.IntraBankWL = o.IntraBankWL
-	cfg.LLC.QueueModel = o.QueueModel
-	if o.BankContentionWindow != 0 {
-		cfg.LLC.BankContentionWindow = o.BankContentionWindow
-	}
 	if o.ReRAMWriteLatency != 0 {
 		cfg.LLC.WriteLatency = o.ReRAMWriteLatency
 		cfg.LLC.WriteOccupancy = o.ReRAMWriteLatency / nuca.WriteOccupancyDivisor
@@ -210,13 +196,9 @@ type SuiteReport struct {
 	HMeanLifetime float64
 
 	// LLC sums every workload's LLC counters — in particular the bank
-	// queue-model behaviour (Queue.RAR/RAW/WAR/WAW transitions, wait
-	// cycles, legacy Slipped count) the contention experiment reports.
+	// contention totals (Queue wait cycles and Slipped count) the
+	// contention experiment reports.
 	LLC nuca.Stats
-	// BankService folds the per-bank service-latency histograms across
-	// workloads, bank by bank; nil when the queue model was off for the
-	// whole suite.
-	BankService []nuca.BankServiceStats
 }
 
 // DeriveSeed derives an independent simulation seed from a base seed and a
@@ -355,14 +337,6 @@ func AggregateSuite(policy string, reports []Report) SuiteReport {
 		}
 		ipcs = append(ipcs, rep.MeanIPC)
 		stats.MergeNumeric(&sr.LLC, &rep.LLC)
-		if rep.BankService != nil {
-			if sr.BankService == nil {
-				sr.BankService = make([]nuca.BankServiceStats, len(rep.BankService))
-			}
-			for b := range rep.BankService {
-				stats.MergeNumeric(&sr.BankService[b], &rep.BankService[b])
-			}
-		}
 	}
 	for _, ls := range perBank {
 		sr.BankHMeanLifetimes = append(sr.BankHMeanLifetimes, stats.HarmonicMean(ls))

@@ -1,81 +1,60 @@
 package core
 
-import "testing"
+import (
+	"testing"
 
-// TestQueueModelWriteHeavyRegression is the end-to-end regression for the
-// bank-contention bug: under the legacy model, requests arriving while a
-// bank was busy beyond the contention window slipped through uncharged, so
-// reads never paid for colliding with in-flight ReRAM writes. With the
-// queue model armed on a real workload, reads must demonstrably wait
-// behind writes (nonzero RAW/WAR op-history transitions and read wait
-// cycles), the per-bank service histograms must be populated, and the
-// measured window must stretch — charging contention cannot speed the
-// machine up. The legacy run of the same workload must show a nonzero
-// Slipped count: the very traffic the old model was dropping.
-func TestQueueModelWriteHeavyRegression(t *testing.T) {
+	"repro/internal/nuca"
+)
+
+// TestBankContentionCountersOnWriteHeavyWorkload is the end-to-end check
+// of the bank contention counters on a real workload: reads and writes
+// both find their bank busy and wait within the window, some requests slip
+// past a bank busy beyond it, and no counted wait exceeds the window.
+// Slowing ReRAM writes must add write-induced contention: more read wait
+// cycles and more slips.
+func TestBankContentionCountersOnWriteHeavyWorkload(t *testing.T) {
 	wl := StandardWorkloads()[0]
 	base := DefaultOptions(SNUCA)
 	base.Apps = wl.Apps
 	base.InstrPerCore = 60_000
 	base.Warmup = 20_000
 
-	off, err := Run(base)
+	rep, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := base
-	on.QueueModel = true
-	rep, err := Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if off.LLC.Queue.Slipped == 0 {
-		t.Error("legacy model slipped nothing on a write-heavy workload; the regression no longer exercises the bug")
-	}
-	if off.BankService != nil {
-		t.Error("legacy run must not report service histograms")
-	}
-
 	q := rep.LLC.Queue
-	if q.Slipped != 0 {
-		t.Errorf("queue model slipped %d requests; it must never slip", q.Slipped)
+	if q.ReadQueued == 0 || q.ReadWaitCycles == 0 || q.WriteQueued == 0 {
+		t.Errorf("banks never made a request wait: %+v", q)
 	}
-	if q.RAW == 0 || q.WAR == 0 {
-		t.Errorf("no read/write collisions recorded (RAW=%d WAR=%d); reads are not queuing behind writes", q.RAW, q.WAR)
+	if q.Slipped == 0 {
+		t.Error("no request slipped on a write-heavy workload; the window is never exceeded")
 	}
-	if q.ReadQueued == 0 || q.ReadWaitCycles == 0 {
-		t.Errorf("reads never waited (queued=%d, cycles=%d) despite in-flight writes", q.ReadQueued, q.ReadWaitCycles)
-	}
-
-	if rep.BankService == nil {
-		t.Fatal("queue-model run must report per-bank service histograms")
-	}
-	var reads, writes uint64
-	for _, b := range rep.BankService {
-		reads += b.Read.Total()
-		writes += b.Write.Total()
-	}
-	if reads == 0 || writes == 0 {
-		t.Errorf("service histograms empty: %d read, %d write samples", reads, writes)
+	if q.ReadWaitCycles > nuca.BankContentionWindow*q.ReadQueued ||
+		q.WriteWaitCycles > nuca.BankContentionWindow*q.WriteQueued {
+		t.Errorf("counted waits exceed the %d-cycle window: %+v", nuca.BankContentionWindow, q)
 	}
 
-	if rep.MeasuredCycles <= off.MeasuredCycles {
-		t.Errorf("charging full contention shortened the run: %d cycles with queue vs %d without",
-			rep.MeasuredCycles, off.MeasuredCycles)
+	slow := base
+	slow.ReRAMWriteLatency = 400
+	srep, err := Run(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sq := srep.LLC.Queue; sq.ReadWaitCycles <= q.ReadWaitCycles || sq.Slipped <= q.Slipped {
+		t.Errorf("400-cycle writes did not add contention: %+v, against %+v at 100 cycles", sq, q)
 	}
 }
 
-// TestQueueModelDeterministic pins that the queue model preserves the
-// repo's determinism contract: two runs of the identical unit are
-// DeepEqual down to every histogram bucket.
-func TestQueueModelDeterministic(t *testing.T) {
+// TestBankContentionDeterministic pins that the contention counters keep
+// the repo's determinism contract: two runs of the identical unit agree on
+// every LLC counter.
+func TestBankContentionDeterministic(t *testing.T) {
 	wl := StandardWorkloads()[1]
 	o := DefaultOptions(ReNUCA)
 	o.Apps = wl.Apps
 	o.InstrPerCore = 40_000
 	o.Warmup = 15_000
-	o.QueueModel = true
 	a, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +63,10 @@ func TestQueueModelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.BankService) == 0 {
-		t.Fatal("no service histograms")
-	}
-	for bank := range a.BankService {
-		if a.BankService[bank] != b.BankService[bank] {
-			t.Errorf("bank %d histograms diverge between identical runs", bank)
-		}
+	if a.LLC.Queue.ReadQueued == 0 {
+		t.Fatal("no bank waits recorded")
 	}
 	if a.LLC != b.LLC {
-		t.Error("LLC stats diverge between identical runs")
+		t.Errorf("LLC stats diverge between identical runs: %+v vs %+v", a.LLC, b.LLC)
 	}
 }

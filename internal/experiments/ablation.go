@@ -30,11 +30,7 @@ func (r *Runner) Ablation() ([]AblationPoint, error) {
 	out := make([]AblationPoint, len(thresholds))
 	err := r.pool.Map(len(thresholds), func(i int) error {
 		th := thresholds[i]
-		o := core.DefaultOptions(core.ReNUCA)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
+		o := r.options(core.ReNUCA)
 		o.Apps = wl.Apps
 		o.CriticalityThresholdPct = th
 		r.logf("ablation", "Re-NUCA threshold x=%3.0f%% on %s", th, wl.Name)
@@ -113,11 +109,8 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 	out := make([]RotationPoint, 2)
 	err := r.pool.Map(2, func(i int) error {
 		rot := i == 1
-		o := core.DefaultOptions(core.ReNUCA)
+		o := r.options(core.ReNUCA)
 		o.InstrPerCore = 10 * r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
 		o.Apps = apps
 		o.IntraBankWL = rot
 		r.logf("rotation", "intra-bank rotation=%v on omnetpp/xalancbmk mix (%d instr)", rot, o.InstrPerCore)
@@ -176,11 +169,7 @@ func (r *Runner) WriteLatencyAblation() ([]WriteLatencyPoint, error) {
 	err := r.pool.Map(len(out), func(i int) error {
 		wlat := latencies[i/len(policies)]
 		p := policies[i%len(policies)]
-		o := core.DefaultOptions(p)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
+		o := r.options(p)
 		o.Apps = wl.Apps
 		o.ReRAMWriteLatency = wlat
 		r.logf("writelat", "ReRAM write latency %d cycles, %s", wlat, p)

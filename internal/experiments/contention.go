@@ -8,30 +8,24 @@ import (
 	"repro/internal/nuca"
 )
 
-// ContentionResult is the bank-queue contention study: the five policy
-// suites of one variant re-examined through the queue model's eyes —
-// sniper-style op-history transition counts, queueing totals and the
-// per-bank read/write service-latency histograms, aggregated over all ten
-// workloads exactly as the suite aggregates IPC.
+// ContentionResult is the bank contention view of one variant's five
+// policy suites: the waits the windowed bank model charged and the
+// requests it let slip, summed over all ten workloads exactly as the suite
+// aggregates IPC.
 type ContentionResult struct {
 	Variant      string
 	VariantLabel string
 	// Policies holds the policy names in canonical core.Policies() order;
-	// Queue and Service are keyed by those names.
+	// Queue is keyed by those names.
 	Policies []string
 	Queue    map[string]nuca.QueueStats
-	Service  map[string][]nuca.BankServiceStats
 }
 
-// Contention runs (or reuses) the five-policy suite for a variant with the
-// per-bank FIFO queue contention model armed and collects the queue-model
-// statistics. When the Runner itself has P.QueueModel set the memoised
-// suites are shared with every other experiment; otherwise a queue-armed
-// twin runs them, leaving the legacy-model suites — and their goldens —
-// untouched.
+// Contention reads the bank contention counters off the memoised
+// five-policy suite for a variant. It shares the suites every lifetime and
+// IPC experiment uses, so it adds no simulations of its own.
 func (r *Runner) Contention(v Variant) (*ContentionResult, error) {
-	qr := r.queueRunner()
-	set, err := qr.suiteSet(v)
+	set, err := r.suiteSet(v)
 	if err != nil {
 		return nil, err
 	}
@@ -39,45 +33,29 @@ func (r *Runner) Contention(v Variant) (*ContentionResult, error) {
 		Variant:      v.Key,
 		VariantLabel: v.Label,
 		Queue:        make(map[string]nuca.QueueStats, len(set)),
-		Service:      make(map[string][]nuca.BankServiceStats, len(set)),
 	}
 	for _, p := range core.Policies() {
 		name := p.String()
 		res.Policies = append(res.Policies, name)
-		sr := set[name]
-		res.Queue[name] = sr.LLC.Queue
-		res.Service[name] = sr.BankService
+		res.Queue[name] = set[name].LLC.Queue
 	}
 	return res, nil
 }
 
-// Render prints the op-history table and the per-bank service-latency
-// histograms. Histogram buckets are log2 cycle ranges; a bank's line shows
-// its sample totals and the non-empty buckets as "range:count" pairs.
+// Render prints one row per policy: requests that waited for a busy bank
+// and the cycles they waited, split by reads and writes, and the requests
+// that slipped past a bank busy beyond the contention window.
 func (cr *ContentionResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Bank contention study (%s): FIFO queue model, all 10 workloads\n", cr.VariantLabel)
-	fmt.Fprintf(&b, "%-9s %9s %9s %9s %9s %9s %12s %9s %12s\n",
-		"policy", "RAR", "RAW", "WAR", "WAW", "rd queued", "rd wait[cyc]", "wr queued", "wr wait[cyc]")
+	fmt.Fprintf(&b, "Bank contention (%s): %d-cycle window, all 10 workloads\n", cr.VariantLabel, nuca.BankContentionWindow)
+	fmt.Fprintf(&b, "%-9s %10s %13s %10s %13s %10s\n",
+		"policy", "rd queued", "rd wait[cyc]", "wr queued", "wr wait[cyc]", "slipped")
 	for _, name := range cr.Policies {
 		q := cr.Queue[name]
-		fmt.Fprintf(&b, "%-9s %9d %9d %9d %9d %9d %12d %9d %12d\n",
-			name, q.RAR, q.RAW, q.WAR, q.WAW,
-			q.ReadQueued, q.ReadWaitCycles, q.WriteQueued, q.WriteWaitCycles)
+		fmt.Fprintf(&b, "%-9s %10d %13d %10d %13d %10d\n",
+			name, q.ReadQueued, q.ReadWaitCycles, q.WriteQueued, q.WriteWaitCycles, q.Slipped)
 	}
-	b.WriteString("(RAW/WAR count reads colliding with in-flight ReRAM writes — the traffic\n")
-	b.WriteString(" the legacy model dropped; the queue model never slips a request)\n")
-	for _, name := range cr.Policies {
-		svc := cr.Service[name]
-		fmt.Fprintf(&b, "\n%s per-bank service latency [cycles, log2 buckets]\n", name)
-		if svc == nil {
-			b.WriteString("  (queue model off: no histograms)\n")
-			continue
-		}
-		for bank, s := range svc {
-			fmt.Fprintf(&b, "  bank %2d  reads %7d: %s\n", bank, s.Read.Total(), s.Read.String())
-			fmt.Fprintf(&b, "           writes %6d: %s\n", s.Write.Total(), s.Write.String())
-		}
-	}
+	b.WriteString("(a request waits for its bank only within the window; one arriving while\n")
+	b.WriteString(" the bank is busy beyond it is served uncharged and counted as slipped)\n")
 	return b.String()
 }

@@ -24,11 +24,7 @@ func (r *Runner) EnergyStudy() ([]EnergyPoint, error) {
 	out := make([]EnergyPoint, 2*len(policies))
 	err := r.pool.Map(len(policies), func(i int) error {
 		p := policies[i]
-		o := core.DefaultOptions(p)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
+		o := r.options(p)
 		o.Apps = wl.Apps
 		r.logf("energy", "energy study: %s on %s", p, wl.Name)
 		rep, err := core.Run(o)

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -41,24 +42,18 @@ type Params struct {
 	// 0 means auto: RENUCA_WORKERS if set, else one worker per CPU.
 	// Results are byte-identical for every worker count.
 	Workers int //lint:allow optflow concurrency cap only: byte-identical results for every worker count, never reaches Options
-	// QueueModel arms the per-bank FIFO queue contention model in every
-	// suite and ablation the Runner executes (core.Options.QueueModel).
-	// Off by default: the legacy windowed model keeps all existing goldens
-	// byte-identical. The contention experiment arms it for itself either
-	// way.
-	QueueModel bool
 	// The remaining fields override the corresponding core.Options
-	// hardware knobs in every suite the Runner executes (zero = keep the
-	// paper's Table I configuration). They are applied by policyOptions
-	// before the variant's own modification, so a Table III variant still
-	// wins for the cell it defines.
+	// hardware knobs in every simulation the Runner builds Options for:
+	// the policy suites, the ablations and the energy study (zero = keep
+	// the paper's Table I configuration). A Table III variant's own
+	// modification, or the knob an ablation sweeps, is applied after them
+	// and wins for the cell it defines.
 	L2Bytes                 uint64
 	L3BankBytes             uint64
 	ROBEntries              int
 	CriticalityThresholdPct float64
 	IntraBankWL             bool
 	ReRAMWriteLatency       uint32
-	BankContentionWindow    uint32
 }
 
 // DefaultParams returns the standard scale.
@@ -73,58 +68,70 @@ func DefaultParams() Params {
 }
 
 // ParamsFromEnv starts from DefaultParams and applies the RENUCA_INSTR,
-// RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP, RENUCA_SEED,
-// RENUCA_WORKERS and RENUCA_QUEUE environment overrides, so
-// benchmark runs can be scaled without editing code. RENUCA_QUEUE=1 (or
-// "true") arms the bank-queue contention model across all experiments.
+// RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP and RENUCA_SEED
+// environment overrides, so benchmark runs can be scaled without editing
+// code. Each must be a positive integer. RENUCA_WORKERS is read by
+// pool.DefaultWorkers.
 //
 // The hardware knobs have overrides too: RENUCA_L2 and RENUCA_L3BANK
 // (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD (criticality percent),
-// RENUCA_INTRABANK_WL=1, RENUCA_WRITE_LAT (cycles) and RENUCA_CWINDOW
-// (cycles). Zero/unset keeps the paper's Table I configuration.
-func ParamsFromEnv() Params {
+// RENUCA_INTRABANK_WL (a boolean) and RENUCA_WRITE_LAT (cycles). Zero or
+// unset keeps the paper's Table I configuration.
+//
+// A malformed value is an error, as is a set RENUCA_QUEUE or
+// RENUCA_CWINDOW: those knobs selected a bank-timing model that no longer
+// exists, and ignoring them would silently change a script's results.
+func ParamsFromEnv() (Params, error) {
 	p := DefaultParams()
-	get := func(name string, dst *uint64) {
-		if v := os.Getenv(name); v != "" {
-			if n, err := strconv.ParseUint(v, 10, 64); err == nil && n > 0 {
-				*dst = n
-			}
+	var errs []error
+	for _, name := range []string{"RENUCA_QUEUE", "RENUCA_CWINDOW"} {
+		if os.Getenv(name) != "" {
+			errs = append(errs, fmt.Errorf("%s was removed: the windowed bank-timing model is the only one; unset it", name))
 		}
 	}
-	get32 := func(name string, dst *uint32) {
-		if v := os.Getenv(name); v != "" {
-			if n, err := strconv.ParseUint(v, 10, 32); err == nil && n > 0 {
-				*dst = uint32(n)
-			}
+	parse := func(name string, bits int, positive bool, dst func(uint64)) {
+		v := os.Getenv(name)
+		if v == "" {
+			return
+		}
+		n, err := strconv.ParseUint(v, 10, bits)
+		switch {
+		case err != nil:
+			errs = append(errs, fmt.Errorf("%s=%q: not a non-negative %d-bit integer", name, v, bits))
+		case positive && n == 0:
+			errs = append(errs, fmt.Errorf("%s=%q: must be positive", name, v))
+		default:
+			dst(n)
 		}
 	}
-	get("RENUCA_INSTR", &p.InstrPerCore)
-	get("RENUCA_WARMUP", &p.Warmup)
-	get("RENUCA_CHAR_INSTR", &p.CharInstr)
-	get("RENUCA_CHAR_WARMUP", &p.CharWarmup)
-	get("RENUCA_SEED", &p.Seed)
-	if v := os.Getenv("RENUCA_QUEUE"); v == "1" || v == "true" {
-		p.QueueModel = true
-	}
-	get("RENUCA_L2", &p.L2Bytes)
-	get("RENUCA_L3BANK", &p.L3BankBytes)
-	if v := os.Getenv("RENUCA_ROB"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			p.ROBEntries = n
-		}
-	}
+	scale := func(name string, dst *uint64) { parse(name, 64, true, func(n uint64) { *dst = n }) }
+	scale("RENUCA_INSTR", &p.InstrPerCore)
+	scale("RENUCA_WARMUP", &p.Warmup)
+	scale("RENUCA_CHAR_INSTR", &p.CharInstr)
+	scale("RENUCA_CHAR_WARMUP", &p.CharWarmup)
+	scale("RENUCA_SEED", &p.Seed)
+	parse("RENUCA_L2", 64, false, func(n uint64) { p.L2Bytes = n })
+	parse("RENUCA_L3BANK", 64, false, func(n uint64) { p.L3BankBytes = n })
+	parse("RENUCA_ROB", 31, false, func(n uint64) { p.ROBEntries = int(n) })
+	parse("RENUCA_WRITE_LAT", 32, false, func(n uint64) { p.ReRAMWriteLatency = uint32(n) })
 	if v := os.Getenv("RENUCA_THRESHOLD"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(f >= 0 && f <= 100) {
+			errs = append(errs, fmt.Errorf("RENUCA_THRESHOLD=%q: not a percentage in [0, 100]", v))
+		} else {
 			p.CriticalityThresholdPct = f
 		}
 	}
-	if v := os.Getenv("RENUCA_INTRABANK_WL"); v == "1" || v == "true" {
-		p.IntraBankWL = true
+	if v := os.Getenv("RENUCA_INTRABANK_WL"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("RENUCA_INTRABANK_WL=%q: not a boolean (1, 0, true, false)", v))
+		} else {
+			p.IntraBankWL = b
+		}
 	}
-	get32("RENUCA_WRITE_LAT", &p.ReRAMWriteLatency)
-	get32("RENUCA_CWINDOW", &p.BankContentionWindow)
 	p.Workers = pool.DefaultWorkers(0)
-	return p
+	return p, errors.Join(errs...)
 }
 
 // Variant is one system configuration of Table III's rows.
@@ -184,9 +191,6 @@ type Runner struct {
 	suiteFlight  pool.Flight[string, map[string]core.SuiteReport]
 	table2Flight pool.Flight[string, []Table2Row]
 	sweepFlight  pool.Flight[string, []ThresholdPoint]
-
-	queueMu sync.Mutex
-	queueR  *Runner
 }
 
 // NewRunner builds a Runner with the given parameters.
@@ -226,46 +230,52 @@ type UnitRunner interface {
 	RunUnits(units []core.Unit) ([]core.Report, error)
 }
 
-// policyOptions resolves the complete Options for one (variant, policy)
-// cell — scale parameters, the derived per-policy seed, then the variant's
-// modification. It is the single source of suite configuration for both
-// the in-process and the sharded execution paths; the per-workload seed
-// derivation on top of it happens in core.SuiteUnits either way.
-func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
+// options resolves the Options every simulation the Runner builds starts
+// from: the policy's Table I defaults, the Params window and seed, then the
+// Params hardware overrides (zero = Table I default, matching the Options
+// zero value, so copying unconditionally changes nothing at default
+// scale). Callers set only what their study varies on top.
+func (r *Runner) options(p core.Policy) core.Options {
 	o := core.DefaultOptions(p)
 	o.InstrPerCore = r.P.InstrPerCore
 	o.Warmup = r.P.Warmup
-	o.Seed = core.DeriveSeed(r.P.Seed, v.Key, p.String())
-	o.QueueModel = r.P.QueueModel
-	// Hardware knob overrides (zero = Table I default, matching the
-	// Options zero value, so copying unconditionally changes nothing at
-	// default scale). The variant's own modification runs last and wins.
+	o.Seed = r.P.Seed
 	o.L2Bytes = r.P.L2Bytes
 	o.L3BankBytes = r.P.L3BankBytes
 	o.ROBEntries = r.P.ROBEntries
 	o.CriticalityThresholdPct = r.P.CriticalityThresholdPct
 	o.IntraBankWL = r.P.IntraBankWL
 	o.ReRAMWriteLatency = r.P.ReRAMWriteLatency
-	o.BankContentionWindow = r.P.BankContentionWindow
+	return o
+}
+
+// policyOptions resolves the complete Options for one (variant, policy)
+// cell — the Runner's base options, the derived per-policy seed, then the
+// variant's modification, which wins. It is the single source of suite
+// configuration for both the in-process and the sharded execution paths;
+// the per-workload seed derivation on top of it happens in core.SuiteUnits
+// either way.
+func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
+	o := r.options(p)
+	o.Seed = core.DeriveSeed(r.P.Seed, v.Key, p.String())
 	v.Mod(&o)
 	return o
 }
 
 // memoKey folds every result-affecting Params field into a Flight memo
 // key. The Flights live per-Runner, but a Runner's P is exported and
-// mutable between calls — and PR 8's derived queue Runner exists precisely
-// because "same key, different Params" silently returns the other
-// configuration's results. Keying on the resolved Params makes that class
-// of stale hit impossible (keyflow enforces it statically). Workers is
-// deliberately excluded: results are byte-identical for every worker
-// count, so folding it in would only fragment the cache.
+// mutable between calls, and "same key, different Params" would silently
+// return the other configuration's results. Keying on the resolved Params
+// makes that class of stale hit impossible (keyflow enforces it
+// statically). Workers is deliberately excluded: results are
+// byte-identical for every worker count, so folding it in would only
+// fragment the cache.
 func (r *Runner) memoKey(base string) string {
 	p := r.P
-	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d q%t l2b%d l3b%d rob%d th%g wl%t lat%d cw%d",
+	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d l2b%d l3b%d rob%d th%g wl%t lat%d",
 		base, p.InstrPerCore, p.Warmup, p.CharInstr, p.CharWarmup, p.Seed,
-		p.QueueModel, p.L2Bytes, p.L3BankBytes, p.ROBEntries,
-		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency,
-		p.BankContentionWindow)
+		p.L2Bytes, p.L3BankBytes, p.ROBEntries,
+		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency)
 }
 
 // suiteSet runs (or returns the memoised) five-policy suite for a variant.
@@ -306,28 +316,6 @@ func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 		}
 		return set, nil
 	})
-}
-
-// queueRunner returns a Runner whose suites run with the bank-queue
-// contention model armed. When r already has it on, r itself is returned
-// and the contention experiment shares r's memoised suites; otherwise a
-// derived Runner (same scale, Log and Exec, its own memoisation) is built
-// once and cached, so the queue-on suites never perturb r's queue-off
-// suites — the existing goldens stay byte-identical.
-func (r *Runner) queueRunner() *Runner {
-	if r.P.QueueModel {
-		return r
-	}
-	r.queueMu.Lock()
-	defer r.queueMu.Unlock()
-	if r.queueR == nil {
-		qp := r.P
-		qp.QueueModel = true
-		// Share r's pool so total simulation concurrency stays bounded at
-		// P.Workers across both runners.
-		r.queueR = &Runner{P: qp, Log: r.Log, Exec: r.Exec, pool: r.pool}
-	}
-	return r.queueR
 }
 
 // suiteSetSharded dispatches a variant's full policy-cross-workload unit

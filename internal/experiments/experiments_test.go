@@ -24,9 +24,17 @@ func TestParamsFromEnv(t *testing.T) {
 	t.Setenv("RENUCA_CHAR_WARMUP", "55")
 	t.Setenv("RENUCA_SEED", "9")
 	t.Setenv("RENUCA_WORKERS", "6")
-	p := ParamsFromEnv()
+	t.Setenv("RENUCA_ROB", "168")
+	t.Setenv("RENUCA_INTRABANK_WL", "true")
+	p, err := ParamsFromEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.InstrPerCore != 1234 || p.Warmup != 99 || p.CharInstr != 777 || p.CharWarmup != 55 || p.Seed != 9 {
 		t.Errorf("env not applied: %+v", p)
+	}
+	if p.ROBEntries != 168 || !p.IntraBankWL {
+		t.Errorf("hardware env not applied: %+v", p)
 	}
 	if p.Workers != 6 {
 		t.Errorf("RENUCA_WORKERS not applied: %d", p.Workers)
@@ -34,9 +42,28 @@ func TestParamsFromEnv(t *testing.T) {
 	if got := NewRunner(p).Workers(); got != 6 {
 		t.Errorf("runner pool size %d, want 6", got)
 	}
-	t.Setenv("RENUCA_INSTR", "garbage")
-	if q := ParamsFromEnv(); q.InstrPerCore != DefaultParams().InstrPerCore {
-		t.Errorf("garbage env should fall back to default, got %d", q.InstrPerCore)
+
+	// Malformed values and the removed bank-timing knobs are errors that
+	// name the variable, never a silent fall back to the default.
+	for _, c := range []struct{ name, value string }{
+		{"RENUCA_INSTR", "garbage"},
+		{"RENUCA_INSTR", "0"},
+		{"RENUCA_SEED", "-3"},
+		{"RENUCA_ROB", "-1"},
+		{"RENUCA_L2", "256k"},
+		{"RENUCA_WRITE_LAT", "5000000000"},
+		{"RENUCA_THRESHOLD", "NaN"},
+		{"RENUCA_INTRABANK_WL", "yes"},
+		{"RENUCA_QUEUE", "1"},
+		{"RENUCA_QUEUE", "0"},
+		{"RENUCA_CWINDOW", "64"},
+	} {
+		t.Run(c.name+"="+c.value, func(t *testing.T) {
+			t.Setenv(c.name, c.value)
+			if _, err := ParamsFromEnv(); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("got error %v, want one naming %s", err, c.name)
+			}
+		})
 	}
 }
 
@@ -314,5 +341,48 @@ func TestRotationAblationShape(t *testing.T) {
 	}
 	if !strings.Contains(RenderRotationAblation(pts), "rotation") {
 		t.Error("rotation render incomplete")
+	}
+}
+
+// TestContentionAddsNoSimulations pins that the contention view reads the
+// memoised suites: after Lifetime has run the "actual" suites, Contention
+// on the same variant simulates nothing more.
+func TestContentionAddsNoSimulations(t *testing.T) {
+	r := NewRunner(tinyParams())
+	actual := mustVariant("actual")
+	if _, err := r.Lifetime(actual); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Sims()
+	cr, err := r.Contention(actual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := r.Sims(); after != before {
+		t.Errorf("Contention ran %d simulations after Lifetime, want 0", after-before)
+	}
+	if len(cr.Policies) != 5 || cr.Queue["S-NUCA"].ReadQueued == 0 {
+		t.Errorf("contention view incomplete: %+v", cr)
+	}
+}
+
+// TestAblationHonoursHardwareOverrides pins that the ablations build their
+// Options through the Runner like the suites do: a Params hardware
+// override (here a small ROB) must change an ablation's results.
+func TestAblationHonoursHardwareOverrides(t *testing.T) {
+	base, err := NewRunner(tinyParams()).Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tinyParams()
+	p.ROBEntries = 16
+	small, err := NewRunner(p).Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range base {
+		if base[i].MeanIPC == small[i].MeanIPC {
+			t.Errorf("x=%v%%: mean IPC %.4f with a 16-entry ROB, same as Table I's 128", base[i].ThresholdPct, base[i].MeanIPC)
+		}
 	}
 }

@@ -45,12 +45,11 @@ func TestSuiteGoldenOutput(t *testing.T) {
 	compareGolden(t, "Workers=8", renderSuiteOutputs(t, parallelP), string(want))
 }
 
-// renderContentionOutputs renders the bank-contention study (queue model
-// armed, five policies, op-history plus every per-bank service histogram)
-// for the "actual" variant at the given parameters.
+// renderContentionOutputs renders the bank contention view (five policies'
+// wait and slip counters) for the "actual" variant at the given
+// parameters.
 func renderContentionOutputs(t *testing.T, p Params) string {
 	t.Helper()
-	p.QueueModel = true
 	cr, err := NewRunner(p).Contention(mustVariant("actual"))
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +57,13 @@ func renderContentionOutputs(t *testing.T, p Params) string {
 	return cr.Render()
 }
 
-// TestContentionGoldenOutput is TestSuiteGoldenOutput's twin for the
-// queue-model-on suite: the contention study's rendered op-history counts
-// and per-bank service-latency histograms are pinned byte-for-byte, at
-// Workers=1 and 8 — the queue model (timestamps, histograms, the
-// op-history map) must stay deterministic under every execution mode. Regenerate deliberately with
+// TestContentionGoldenOutput is TestSuiteGoldenOutput's twin for the bank
+// contention view: the five policies' wait and slip counters are pinned
+// byte-for-byte, at Workers=1 and 8, so the counters stay deterministic
+// under every execution mode. Regenerate deliberately with
 // go test ./internal/experiments -run ContentionGolden -update.
 func TestContentionGoldenOutput(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "tiny_suite_queue.golden")
+	goldenPath := filepath.Join("testdata", "tiny_contention.golden")
 
 	serialP := tinyParams()
 	serialP.Workers = 1

@@ -19,14 +19,12 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 		func(p *Params) { p.CharInstr++ },
 		func(p *Params) { p.CharWarmup++ },
 		func(p *Params) { p.Seed++ },
-		func(p *Params) { p.QueueModel = !p.QueueModel },
 		func(p *Params) { p.L2Bytes += 4096 },
 		func(p *Params) { p.L3BankBytes += 4096 },
 		func(p *Params) { p.ROBEntries += 8 },
 		func(p *Params) { p.CriticalityThresholdPct++ },
 		func(p *Params) { p.IntraBankWL = !p.IntraBankWL },
 		func(p *Params) { p.ReRAMWriteLatency += 10 },
-		func(p *Params) { p.BankContentionWindow += 10 },
 	}
 	for i, mut := range affecting {
 		p := DefaultParams()
@@ -54,7 +52,7 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 
 // TestMemoKeySeparatesFlightEntries is the regression test for the memo
 // aliasing hazard: a Runner whose Params change between suite requests
-// (e.g. a derived configuration arming the queue model) must compute, not
+// (e.g. a hardware override set between two experiments) must compute, not
 // replay, the entry cached for the old configuration. It drives the same
 // suiteFlight + memoKey path suiteSet uses and counts closure executions.
 func TestMemoKeySeparatesFlightEntries(t *testing.T) {
@@ -81,17 +79,17 @@ func TestMemoKeySeparatesFlightEntries(t *testing.T) {
 	}
 
 	// A result-affecting change must miss: before memoKey folded Params
-	// into the key, this second request replayed the queue-off result.
-	r.P.QueueModel = true
+	// into the key, this second request replayed the default-ROB result.
+	r.P.ROBEntries = 168
 	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
-		t.Fatalf("queue-model configuration aliased the cached entry (calls = %d, want 2)", calls)
+		t.Fatalf("ROB-168 configuration aliased the cached entry (calls = %d, want 2)", calls)
 	}
 
 	// Restoring the original configuration hits its original entry.
-	r.P.QueueModel = false
+	r.P.ROBEntries = 0
 	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
 		t.Fatal(err)
 	}

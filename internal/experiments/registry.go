@@ -143,7 +143,7 @@ func All() []Experiment {
 			}
 			return RenderEnergyStudy(pts), nil
 		}},
-		{ID: "contention", Title: "Bank contention study: queue model op-history and service latencies", Run: func(r *Runner) (string, error) {
+		{ID: "contention", Title: "Bank contention: charged waits and slipped requests per policy", Run: func(r *Runner) (string, error) {
 			cr, err := r.Contention(mustVariant("actual"))
 			if err != nil {
 				return "", err

@@ -87,8 +87,8 @@ func TestBankServiceReadVsWrite(t *testing.T) {
 		Banks: 16, FramesPerBank: cfg.BankBytes / 64, Endurance: 1e11, ClockHz: 1, CapYears: 50,
 	})
 	l := MustNew(cfg, w)
-	read := l.BankService(0, 0, 1000, false) - 1000
-	write := l.BankService(1, 0, 1000, true) - 1000
+	read := l.BankService(0, 1000, false) - 1000
+	write := l.BankService(1, 1000, true) - 1000
 	if read != uint64(cfg.BankLatency) {
 		t.Errorf("read service %d, want %d", read, cfg.BankLatency)
 	}
@@ -99,13 +99,13 @@ func TestBankServiceReadVsWrite(t *testing.T) {
 
 func TestBankServiceSerialisesWithinWindow(t *testing.T) {
 	l := smallLLC(SNUCA)
-	a := l.BankService(0, 0, 100, false)
-	b := l.BankService(0, 0, 100, false) // same bank, same cycle
+	a := l.BankService(0, 100, false)
+	b := l.BankService(0, 100, false) // same bank, same cycle
 	if b <= a-uint64(l.Config().BankLatency)+1 {
 		t.Errorf("second access not delayed: %d then %d", a, b)
 	}
 	// A different bank is independent.
-	c := l.BankService(1, 0, 100, false)
+	c := l.BankService(1, 100, false)
 	if c != 100+uint64(l.Config().BankLatency) {
 		t.Errorf("cross-bank access delayed: %d", c)
 	}
@@ -113,14 +113,19 @@ func TestBankServiceSerialisesWithinWindow(t *testing.T) {
 
 func TestBankServiceFarFutureReservationSlips(t *testing.T) {
 	l := smallLLC(SNUCA)
-	l.BankService(0, 0, 100_000, true) // far-future write occupancy
-	early := l.BankService(0, 0, 100, false)
+	l.BankService(0, 100_000, true) // far-future write occupancy
+	early := l.BankService(0, 100, false)
 	if early != 100+uint64(l.Config().BankLatency) {
 		t.Errorf("early read stalled behind far-future reservation: %d", early)
 	}
-	// The shortcut is no longer silent: the uncharged service is counted.
-	if got := l.Stats().Queue.Slipped; got != 1 {
-		t.Errorf("Slipped = %d, want 1", got)
+	// The shortcut is not silent: the uncharged service is counted as a
+	// slip, and charges no wait.
+	q := l.Stats().Queue
+	if q.Slipped != 1 {
+		t.Errorf("Slipped = %d, want 1", q.Slipped)
+	}
+	if q.ReadQueued != 0 || q.ReadWaitCycles != 0 {
+		t.Errorf("slipped read counted as a wait: %+v", q)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/rram"
-	"repro/internal/stats"
 )
 
 // Config sizes the LLC and selects its policy. The defaults in
@@ -31,24 +30,6 @@ type Config struct {
 	// pipelined; writes hold the array longer).
 	BankOccupancy  uint32
 	WriteOccupancy uint32
-	// QueueModel replaces the next-free-timestamp approximation of bank
-	// contention with a real per-bank FIFO queue: every request reserves
-	// the data array for its occupancy, so reads queue behind outstanding
-	// writes (and vice versa) with no slip window — arbitrarily deep
-	// backlogs are charged in full. It also arms the sniper-style
-	// op-history transition counters (Stats.Queue RAR/RAW/WAR/WAW) and
-	// per-bank service-latency histograms (ServiceStats). Disabled, the
-	// legacy windowed model runs and timing is byte-identical to the
-	// pre-queue simulator.
-	QueueModel bool
-	// BankContentionWindow bounds how far the legacy (QueueModel=false)
-	// model lets a request wait for a busy bank, mirroring
-	// noc.ContentionWindow: a request arriving while the bank is busy
-	// further in the future than the window slips through uncharged (and
-	// is counted in Stats.Queue.Slipped so the shortcut is visible).
-	// Zero means the historical default of 64 cycles. Ignored by the
-	// queue model, which never slips.
-	BankContentionWindow uint32
 	// DirLatency is the directory-lookup latency the Naive oracle pays on
 	// every access before it can locate (or place) a line. Section III-A
 	// argues this directory is what makes the scheme infeasible: locating
@@ -78,6 +59,15 @@ type Config struct {
 // sets, so slower writes hold the array proportionally longer.
 const WriteOccupancyDivisor = 5
 
+// BankContentionWindow bounds how long a request waits for a busy bank,
+// mirroring noc.ContentionWindow. Each bank keeps one next-free timestamp,
+// and walks reserve banks at their future traversal time, so a bank busy
+// beyond the window is usually busy with a request that arrives later than
+// this one; charging that wait would bill an earlier request for a later
+// one's reservation. Such a request slips through uncharged and is counted
+// in Stats.Queue.Slipped.
+const BankContentionWindow = 64
+
 // DefaultConfig returns Table I's LLC configuration with the S-NUCA policy.
 func DefaultConfig() Config {
 	const bankLatency = 100
@@ -94,9 +84,6 @@ func DefaultConfig() Config {
 		BankOccupancy:  4,
 		WriteOccupancy: bankLatency / WriteOccupancyDivisor,
 		DirLatency:     250,
-
-		QueueModel:           false,
-		BankContentionWindow: 64,
 
 		IntraBankWL:     false,
 		IntraBankPeriod: 64,
@@ -120,35 +107,18 @@ type Stats struct {
 	Queue             QueueStats
 }
 
-// QueueStats counts bank-queue behaviour. The wait/queued counters and the
-// op-history transitions are only advanced by the queue model
-// (Config.QueueModel); Slipped is the legacy model's honesty counter — how
-// many busy-bank requests were served uncharged because the bank's
-// next-free time lay beyond the contention window.
+// QueueStats counts the bank contention BankService charges and drops.
+// The wait/queued counters cover requests that found their bank busy and
+// waited for it within BankContentionWindow; Slipped counts the busy-bank
+// requests served uncharged because the bank's next-free time lay beyond
+// the window.
 type QueueStats struct {
-	Slipped uint64 // legacy model: uncharged busy-bank requests
+	Slipped uint64 // uncharged busy-bank requests
 
 	ReadQueued      uint64 // reads that found their bank busy and waited
 	WriteQueued     uint64
-	ReadWaitCycles  uint64 // cycles reads spent queued before the array
+	ReadWaitCycles  uint64 // cycles reads spent waiting before the array
 	WriteWaitCycles uint64
-
-	// Op-history transition counts per line address, sniper-style: the
-	// second letter is the previous operation on the line, the first the
-	// current one (RAW = read arriving after a write). RAW/WAR are the
-	// paper-critical pair — reads colliding with ReRAM's slow writes.
-	RAR uint64
-	RAW uint64
-	WAR uint64
-	WAW uint64
-}
-
-// BankServiceStats holds one bank's service-latency distributions under
-// the queue model: the full request-to-data time (queue wait + array
-// latency) of every read and write the bank served.
-type BankServiceStats struct {
-	Read  stats.Histogram
-	Write stats.Histogram
 }
 
 // AccessResult reports a lookup: which banks were probed in order, and
@@ -184,20 +154,7 @@ type LLC struct {
 
 	// bankFree serialises bank accesses: the next cycle each ReRAM bank
 	// can accept a request. Managed by the simulator through BankService.
-	// Under the queue model it is the exact tail of the bank's FIFO; under
-	// the legacy model it is the windowed approximation.
 	bankFree []uint64
-
-	// Queue-model state: the hoisted QueueModel flag and contention
-	// window, the per-line-address last-operation map feeding the
-	// RAR/RAW/WAR/WAW transition counters, and the per-bank service
-	// histograms. lastOp and svc are non-nil iff the queue model is on.
-	queue  bool
-	window uint64
-	lastOp map[uint64]uint8
-	svc    []BankServiceStats
-
-	san sanState
 
 	// Widened copies of the read/write service parameters, hoisted out of
 	// BankService (called at least once per LLC access and write-back).
@@ -277,15 +234,6 @@ func New(cfg Config, wear *rram.Wear) (*LLC, error) {
 		l.rotOffset = make([]uint64, cfg.NumBanks)
 		l.rotCounter = make([]uint64, cfg.NumBanks)
 	}
-	if cfg.BankContentionWindow == 0 {
-		l.cfg.BankContentionWindow = 64
-	}
-	l.queue = cfg.QueueModel
-	l.window = uint64(l.cfg.BankContentionWindow)
-	if cfg.QueueModel {
-		l.lastOp = make(map[uint64]uint8)
-		l.svc = make([]BankServiceStats, cfg.NumBanks)
-	}
 	l.readOcc = uint64(l.cfg.BankOccupancy)
 	l.readLat = uint64(l.cfg.BankLatency)
 	l.writeOcc = uint64(l.cfg.WriteOccupancy)
@@ -342,17 +290,13 @@ func (l *LLC) BankStats(bank int) cache.Stats { return l.banks[bank].Stats() }
 // Wear exposes the wear tracker.
 func (l *LLC) Wear() *rram.Wear { return l.wear }
 
-// ResetStats zeroes aggregate, per-bank, service-histogram and wear
-// counters (warmup boundary). Timing state — bankFree tails and the
-// op-history map — survives: the banks stay busy across the boundary just
-// as the NoC links do.
+// ResetStats zeroes aggregate, per-bank and wear counters (warmup
+// boundary). The bankFree timing state survives: the banks stay busy
+// across the boundary just as the NoC links do.
 func (l *LLC) ResetStats() {
 	l.stats = Stats{}
 	for _, b := range l.banks {
 		b.ResetStats()
-	}
-	for i := range l.svc {
-		l.svc[i] = BankServiceStats{}
 	}
 	l.wear.Reset()
 }
@@ -558,31 +502,25 @@ func (l *LLC) ResidentBanks(addr uint64) []int {
 	return out
 }
 
-// BankService charges one bank access to addr starting no earlier than
-// start: the request waits for the bank, occupies its data array for the
+// BankService charges one access to bank starting no earlier than start:
+// the request waits for the bank, occupies its data array for the
 // read/write occupancy, and the data is available after the read or write
 // latency. It returns the completion cycle.
 //
-// Under the queue model (Config.QueueModel) the bank is a real FIFO: a
-// request always begins at max(start, bank tail), however deep the
-// backlog, so reads pay in full for colliding with in-flight ReRAM
-// writes. Wait cycles, op-history transitions on addr's line and the
-// service-time histogram are recorded as side effects.
-//
-// The legacy model only waits within BankContentionWindow cycles (see
-// package noc for why single next-free timestamps need a window); a
-// request arriving while the bank is busy beyond the window slips through
-// uncharged, counted in Stats.Queue.Slipped.
+// A request waits only within BankContentionWindow cycles of its arrival,
+// and the wait is counted in Stats.Queue; a request arriving while the
+// bank is busy beyond the window slips through uncharged, counted in
+// Stats.Queue.Slipped.
 //
 //lint:hotpath
-func (l *LLC) BankService(bank int, addr, start uint64, write bool) uint64 {
+func (l *LLC) BankService(bank int, start uint64, write bool) uint64 {
 	occ, lat := l.readOcc, l.readLat
 	if write {
 		occ, lat = l.writeOcc, l.writeLat
 	}
 	begin := start
-	if l.queue {
-		if free := l.bankFree[bank]; free > begin {
+	if free := l.bankFree[bank]; free > begin {
+		if free-begin <= BankContentionWindow {
 			begin = free
 			if write {
 				l.stats.Queue.WriteQueued++
@@ -591,21 +529,6 @@ func (l *LLC) BankService(bank int, addr, start uint64, write bool) uint64 {
 				l.stats.Queue.ReadQueued++
 				l.stats.Queue.ReadWaitCycles += free - start
 			}
-		}
-		l.bankFree[bank] = begin + occ
-		l.recordOpHistory(addr, write)
-		complete := begin + lat
-		if write {
-			l.svc[bank].Write.Observe(complete - start)
-		} else {
-			l.svc[bank].Read.Observe(complete - start)
-		}
-		l.sanCheckBankService(bank, start, begin, occ)
-		return complete
-	}
-	if free := l.bankFree[bank]; free > begin {
-		if free-begin <= l.window {
-			begin = free
 		} else {
 			l.stats.Queue.Slipped++
 		}
@@ -615,47 +538,6 @@ func (l *LLC) BankService(bank int, addr, start uint64, write bool) uint64 {
 	}
 	l.sanCheckBankService(bank, start, begin, occ)
 	return begin + lat
-}
-
-// recordOpHistory classifies the transition from the previous operation on
-// addr's line to this one (sniper's rar/war/raw/waw counters) and records
-// the new last operation. Only called under the queue model.
-//
-//lint:hotpath
-func (l *LLC) recordOpHistory(addr uint64, write bool) {
-	la := addr >> l.lineShift
-	const (
-		opRead  = 1
-		opWrite = 2
-	)
-	switch prev := l.lastOp[la]; {
-	case prev == 0:
-		// First operation on the line: no transition.
-	case write && prev == opWrite:
-		l.stats.Queue.WAW++
-	case write: // prev == opRead
-		l.stats.Queue.WAR++
-	case prev == opWrite:
-		l.stats.Queue.RAW++
-	default:
-		l.stats.Queue.RAR++
-	}
-	if write {
-		l.lastOp[la] = opWrite
-	} else {
-		l.lastOp[la] = opRead
-	}
-}
-
-// ServiceStats returns a copy of the per-bank service-latency histograms,
-// or nil when the queue model is disabled.
-func (l *LLC) ServiceStats() []BankServiceStats {
-	if l.svc == nil {
-		return nil
-	}
-	out := make([]BankServiceStats, len(l.svc))
-	copy(out, l.svc)
-	return out
 }
 
 // HomeBank returns the address-interleaved home tile of a line, where the

@@ -7,11 +7,10 @@ import (
 )
 
 // tableILLC builds Table I's 16-bank, 32 MB LLC under policy p.
-func tableILLC(b *testing.B, p Policy, queue bool) *LLC {
+func tableILLC(b *testing.B, p Policy) *LLC {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.Policy = p
-	cfg.QueueModel = queue
 	l, err := New(cfg, rram.MustNew(rram.DefaultConfig()))
 	if err != nil {
 		b.Fatal(err)
@@ -59,7 +58,7 @@ func llcOp(l *LLC, addr uint64, i int) bool {
 func BenchmarkLLCAccess(b *testing.B) {
 	for _, p := range []Policy{NaiveWL, SNUCA, ReNUCA} {
 		b.Run(p.String(), func(b *testing.B) {
-			l := tableILLC(b, p, false)
+			l := tableILLC(b, p)
 			s := lineStream{x: 0x9e3779b97f4a7c15, hot: 8 << 10}
 			for i := 0; i < 3<<19; i++ {
 				llcOp(l, s.next(), i)
@@ -77,33 +76,24 @@ func BenchmarkLLCAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkBankService measures one bank reservation under each contention
-// model. Requests arrive two cycles apart across the 16 banks, so banks
-// are often busy, and every fourth is a write. The lines come from the same
-// stream as BenchmarkLLCAccess, so the queue model's op-history map — one
-// entry per line ever served — keeps growing, as it does in a run.
+// BenchmarkBankService measures one bank reservation. Requests arrive two
+// cycles apart across the 16 banks, so banks are often busy, and every
+// fourth is a write. The banks come from the same line stream as
+// BenchmarkLLCAccess.
 func BenchmarkBankService(b *testing.B) {
-	for _, m := range []struct {
-		name  string
-		queue bool
-	}{{"legacy", false}, {"queue", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			l := tableILLC(b, SNUCA, m.queue)
-			s := lineStream{x: 0x9e3779b97f4a7c15, hot: 8 << 10}
-			var cycle uint64
-			op := func(i int) {
-				a := s.next()
-				cycle += 2
-				l.BankService(l.snucaBank(a), a, cycle, i&3 == 3)
-			}
-			for i := 0; i < 1<<16; i++ {
-				op(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op(i)
-			}
-		})
+	l := tableILLC(b, SNUCA)
+	s := lineStream{x: 0x9e3779b97f4a7c15, hot: 8 << 10}
+	var cycle uint64
+	op := func(i int) {
+		cycle += 2
+		l.BankService(l.snucaBank(s.next()), cycle, i&3 == 3)
+	}
+	for i := 0; i < 1<<16; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"repro/internal/rram"
 )
 
-// queueLLC builds the 4-bank test LLC with the FIFO queue model armed and
-// a write-heavy service asymmetry (300-cycle, 60-occupancy writes against
-// 100-cycle, 4-occupancy reads).
-func queueLLC(p Policy) *LLC {
+// contendedLLC builds the 4-bank test LLC with a write-heavy service
+// asymmetry (300-cycle, 60-occupancy writes against 100-cycle,
+// 4-occupancy reads), so banks are often busy.
+func contendedLLC(p Policy) *LLC {
 	cfg := Config{
 		Policy: p, NumBanks: 4, BankBytes: 4096, Ways: 4, LineBytes: 64,
 		MeshWidth: 2, MeshHeight: 2, BankLatency: 100, WriteLatency: 300,
 		BankOccupancy: 4, WriteOccupancy: 60, DirLatency: 20,
-		QueueModel: true,
 	}
 	w := rram.MustNew(rram.Config{
 		Banks: 4, FramesPerBank: 4096 / 64, Endurance: 1e11, ClockHz: 2.4e9, CapYears: 50,
@@ -23,156 +22,123 @@ func queueLLC(p Policy) *LLC {
 	return MustNew(cfg, w)
 }
 
-// The bug this PR fixes: the legacy model let a request slip through
-// uncharged when the bank was busy beyond the window. The queue model has
-// no slip — a read behind a far-future write reservation waits in full.
-func TestQueueNoSlipBehindFarFutureReservation(t *testing.T) {
-	l := queueLLC(SNUCA)
-	l.BankService(0, 0, 100_000, true) // write occupies [100000,100060)
-	got := l.BankService(0, 64, 100, false)
-	const wantBegin = 100_060
-	if want := uint64(wantBegin + 100); got != want {
-		t.Errorf("read behind write completed at %d, want %d (no uncharged slip)", got, want)
-	}
-	q := l.Stats().Queue
-	if q.Slipped != 0 {
-		t.Errorf("queue model slipped %d requests; it must never slip", q.Slipped)
-	}
-	if q.ReadQueued != 1 || q.ReadWaitCycles != wantBegin-100 {
-		t.Errorf("read wait accounting: %+v, want 1 read queued for %d cycles", q, wantBegin-100)
-	}
-}
-
-// Occupancy conservation, observed externally: n back-to-back reads all
-// arriving at cycle 0 serialise into one gapless busy stretch, so a later
-// arrival begins exactly at n*occupancy.
+// Occupancy conservation, observed externally: n reads all arriving at
+// cycle 0 serialise into one gapless busy stretch for as long as the
+// backlog fits the contention window, each counted as a wait of i*occ
+// cycles. The first read whose wait would exceed the window slips.
 func TestQueueOccupancyConservation(t *testing.T) {
-	l := queueLLC(SNUCA)
-	const n = 25
+	l := contendedLLC(SNUCA)
 	occ := uint64(l.Config().BankOccupancy)
 	lat := uint64(l.Config().BankLatency)
-	for i := 0; i < n; i++ {
-		got := l.BankService(0, uint64(i)*64, 0, false)
-		if want := uint64(i)*occ + lat; got != want {
-			t.Fatalf("read %d completed at %d, want %d (FIFO with charged occupancy)", i, got, want)
+	n := BankContentionWindow/occ + 1 // reads 0..n-1 wait 0..window cycles
+	for i := uint64(0); i < n; i++ {
+		if got, want := l.BankService(0, 0, false), i*occ+lat; got != want {
+			t.Fatalf("read %d completed at %d, want %d (serialised with charged occupancy)", i, got, want)
 		}
 	}
-	if got := l.BankService(0, 0, 0, false); got != n*occ+lat {
-		t.Errorf("probe after %d reads completed at %d, want %d: busy cycles != charged occupancy", n, got, n*occ+lat)
-	}
-}
-
-// Per-bank FIFO order: whatever the arrival jitter, service order is issue
-// order — each service begins at or after the previous reservation on the
-// bank ends, never before its own arrival, and completion times within one
-// operation class never go backwards. (Mixed-class completions may cross:
-// a write's data latency outlives its array occupancy, so a later read can
-// legitimately return first.)
-func TestQueueMonotoneServiceOrder(t *testing.T) {
-	l := queueLLC(SNUCA)
-	//lint:allow nondeterminism fixed seed: the draw only shapes arrival jitter; the FIFO invariants must hold for any sequence
-	rng := rand.New(rand.NewSource(7))
-	readLat := uint64(l.Config().BankLatency)
-	writeLat := uint64(l.Config().WriteLatency)
-	readOcc := uint64(l.Config().BankOccupancy)
-	writeOcc := uint64(l.Config().WriteOccupancy)
-	var tail [4]uint64
-	var lastComplete [4][2]uint64
-	for i := 0; i < 500; i++ {
-		bank := rng.Intn(4)
-		start := uint64(rng.Intn(1000))
-		write := rng.Intn(3) == 0
-		lat, occ, class := readLat, readOcc, 0
-		if write {
-			lat, occ, class = writeLat, writeOcc, 1
-		}
-		complete := l.BankService(bank, uint64(rng.Intn(64))*64, start, write)
-		begin := complete - lat
-		if begin < start {
-			t.Fatalf("op %d began at %d, before its arrival %d", i, begin, start)
-		}
-		if begin < tail[bank] {
-			t.Fatalf("op %d on bank %d began at %d inside the reservation ending %d (FIFO broken)",
-				i, bank, begin, tail[bank])
-		}
-		tail[bank] = begin + occ
-		if complete < lastComplete[bank][class] {
-			t.Fatalf("op %d on bank %d completed at %d, before the previous same-class completion %d",
-				i, bank, complete, lastComplete[bank][class])
-		}
-		lastComplete[bank][class] = complete
-	}
-}
-
-func TestQueueOpHistoryTransitions(t *testing.T) {
-	l := queueLLC(SNUCA)
-	a, b := uint64(0x1000), uint64(0x2000)
-	t0 := uint64(0)
-	l.BankService(0, a, t0, false) // first touch: no transition
-	l.BankService(0, a, t0, false) // RAR
-	l.BankService(0, a, t0, true)  // WAR
-	l.BankService(0, a, t0, true)  // WAW
-	l.BankService(0, a, t0, false) // RAW
-	l.BankService(1, b, t0, true)  // first touch on b
-	l.BankService(1, b, t0, false) // RAW
 	q := l.Stats().Queue
-	if q.RAR != 1 || q.WAR != 1 || q.WAW != 1 || q.RAW != 2 {
-		t.Errorf("op-history = RAR:%d RAW:%d WAR:%d WAW:%d, want 1/2/1/1", q.RAR, q.RAW, q.WAR, q.WAW)
+	if q.ReadQueued != n-1 || q.ReadWaitCycles != occ*n*(n-1)/2 || q.Slipped != 0 {
+		t.Errorf("after %d reads: %+v, want %d queued for %d cycles and none slipped", n, q, n-1, occ*n*(n-1)/2)
 	}
-	// Different words of the same line are the same history entry.
-	l.BankService(0, a+8, t0, false) // RAW vs the last write? no — last op on a's line was the read above
-	if got := l.Stats().Queue.RAR; got != 2 {
-		t.Errorf("same-line sub-word access must share history: RAR = %d, want 2", got)
+	if got := l.BankService(0, 0, false); got != lat {
+		t.Errorf("read behind a %d-cycle backlog completed at %d, want %d (slipped)", n*occ, got, lat)
 	}
-}
-
-func TestQueueServiceHistograms(t *testing.T) {
-	l := queueLLC(SNUCA)
-	for i := 0; i < 10; i++ {
-		l.BankService(2, uint64(i)*64, 0, false)
-	}
-	l.BankService(2, 0, 0, true)
-	svc := l.ServiceStats()
-	if svc == nil {
-		t.Fatal("queue model must expose service histograms")
-	}
-	if got := svc[2].Read.Total(); got != 10 {
-		t.Errorf("bank 2 read samples = %d, want 10", got)
-	}
-	if got := svc[2].Write.Total(); got != 1 {
-		t.Errorf("bank 2 write samples = %d, want 1", got)
-	}
-	if got := svc[0].Read.Total() + svc[0].Write.Total(); got != 0 {
-		t.Errorf("untouched bank 0 has %d samples", got)
-	}
-	// The legacy model reports none: snapshots stay shaped as before.
-	if s := smallLLC(SNUCA).ServiceStats(); s != nil {
-		t.Errorf("legacy model must report nil histograms, got %v", s)
+	if q := l.Stats().Queue; q.Slipped != 1 || q.ReadQueued != n-1 {
+		t.Errorf("over-window read: %+v, want it counted as a slip, not a wait", q)
 	}
 }
 
-// ResetStats clears counters and histograms (warmup boundary) but keeps
-// the timing state: bank tails and the op-history map carry across, like
-// the NoC's link reservations.
+// Service order inside the window: against a reference model of the bank
+// tails, whatever the arrival jitter, every request begins at its arrival
+// or at the bank's reservation tail, whichever is later, unless the tail
+// lies beyond the window, in which case it slips and begins at its
+// arrival. The wait and slip counters must match the reference exactly.
+func TestQueueMonotoneServiceOrder(t *testing.T) {
+	l := contendedLLC(SNUCA)
+	//lint:allow nondeterminism fixed seed: the draw only shapes arrival jitter; the invariants must hold for any sequence
+	rng := rand.New(rand.NewSource(7))
+	cfg := l.Config()
+	var tail [4]uint64
+	var want QueueStats
+	for i := 0; i < 2000; i++ {
+		bank := rng.Intn(4)
+		start := uint64(i) + uint64(rng.Intn(200))
+		write := rng.Intn(3) == 0
+		lat, occ := uint64(cfg.BankLatency), uint64(cfg.BankOccupancy)
+		if write {
+			lat, occ = uint64(cfg.WriteLatency), uint64(cfg.WriteOccupancy)
+		}
+		begin := start
+		if tail[bank] > start {
+			if wait := tail[bank] - start; wait <= BankContentionWindow {
+				begin = tail[bank]
+				if write {
+					want.WriteQueued++
+					want.WriteWaitCycles += wait
+				} else {
+					want.ReadQueued++
+					want.ReadWaitCycles += wait
+				}
+			} else {
+				want.Slipped++
+			}
+		}
+		if got := l.BankService(bank, start, write); got != begin+lat {
+			t.Fatalf("op %d on bank %d (arrival %d, tail %d) completed at %d, want %d",
+				i, bank, start, tail[bank], got, begin+lat)
+		}
+		tail[bank] = max(tail[bank], begin+occ)
+	}
+	if got := l.Stats().Queue; got != want {
+		t.Errorf("counters %+v, want %+v", got, want)
+	}
+	if want.ReadQueued == 0 || want.WriteQueued == 0 || want.Slipped == 0 {
+		t.Errorf("traffic exercised too little: %+v", want)
+	}
+}
+
+// TestQueueWaitCountersBoundedByWindow drives heavy colliding traffic,
+// including a far-future reservation, and checks the counters' contract:
+// reads and writes both wait, some requests slip, and no counted wait
+// exceeds the window, so the summed wait cycles are at most window times
+// the queued count.
+func TestQueueWaitCountersBoundedByWindow(t *testing.T) {
+	l := contendedLLC(SNUCA)
+	for i := 0; i < 5000; i++ {
+		l.BankService(i%4, uint64(i)*3, i%3 == 0)
+	}
+	l.BankService(0, 1_000_000, true)
+	l.BankService(0, 10, false)
+
+	q := l.Stats().Queue
+	if q.ReadQueued == 0 || q.WriteQueued == 0 {
+		t.Errorf("colliding traffic queued nothing: %+v", q)
+	}
+	if q.Slipped == 0 {
+		t.Error("far-future reservation did not trip Slipped")
+	}
+	if q.ReadWaitCycles > BankContentionWindow*q.ReadQueued || q.WriteWaitCycles > BankContentionWindow*q.WriteQueued {
+		t.Errorf("counted waits exceed the %d-cycle window: %+v", BankContentionWindow, q)
+	}
+}
+
+// ResetStats clears the counters (warmup boundary) but keeps the timing
+// state: bank tails carry across, like the NoC's link reservations.
 func TestQueueResetStatsKeepsModelState(t *testing.T) {
-	l := queueLLC(SNUCA)
-	a := uint64(0x3000)
-	l.BankService(0, a, 0, true) // tail now at WriteOccupancy
+	l := contendedLLC(SNUCA)
+	l.BankService(0, 0, true) // tail now at WriteOccupancy
+	l.BankService(0, 0, false)
 	l.ResetStats()
-	if got := l.ServiceStats()[0].Write.Total(); got != 0 {
-		t.Errorf("histograms survived reset: %d samples", got)
-	}
 	if q := l.Stats().Queue; q != (QueueStats{}) {
 		t.Errorf("queue counters survived reset: %+v", q)
 	}
-	// The bank is still busy from before the boundary...
-	occ := uint64(l.Config().WriteOccupancy)
+	// The bank is still busy from before the boundary.
+	tail := uint64(l.Config().WriteOccupancy + l.Config().BankOccupancy)
 	lat := uint64(l.Config().BankLatency)
-	if got := l.BankService(0, a, 0, false); got != occ+lat {
-		t.Errorf("post-reset read completed at %d, want %d (tail must survive reset)", got, occ+lat)
+	if got := l.BankService(0, 0, false); got != tail+lat {
+		t.Errorf("post-reset read completed at %d, want %d (tail must survive reset)", got, tail+lat)
 	}
-	// ...and the op history remembers the pre-reset write: this read is RAW.
-	if q := l.Stats().Queue; q.RAW != 1 {
-		t.Errorf("post-reset transition = %+v, want the pre-reset write remembered (RAW=1)", q)
+	if q := l.Stats().Queue; q.ReadQueued != 1 || q.ReadWaitCycles != tail {
+		t.Errorf("post-reset wait = %+v, want one read queued for %d cycles", q, tail)
 	}
 }

@@ -89,13 +89,13 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 	switch {
 	case res.Hit:
 		arr := s.mesh.CtrlTraverse(origin, res.Bank, t)
-		t = s.llc.BankService(res.Bank, pa, arr, false)
+		t = s.llc.BankService(res.Bank, arr, false)
 	case res.NumProbes > 0:
 		// Miss: every probed bank had to answer before going to memory.
 		var worst uint64
 		for i := 0; i < res.NumProbes; i++ {
 			arr := s.mesh.CtrlTraverse(origin, res.Probes[i], t)
-			if a := s.llc.BankService(res.Probes[i], pa, arr, false); a > worst {
+			if a := s.llc.BankService(res.Probes[i], arr, false); a > worst {
 				worst = a
 			}
 		}
@@ -117,7 +117,7 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 	ctr.LLCMisses++
 	tm := s.mem.Access(pa, t, false)
 	fill := s.llc.Fill(pa, core, critical, false)
-	s.llc.BankService(fill.Bank, pa, tm, true)
+	s.llc.BankService(fill.Bank, tm, true)
 	s.handleLLCVictim(fill.Victim, tm)
 	if s.cfg.LLC.Policy == nuca.ReNUCA {
 		// Record which mapping function placed the line (Section IV-C).
@@ -216,14 +216,14 @@ func (s *System) handleL2Victim(core int, v cacheVictim, t uint64) {
 		// Posted write: occupies the mesh and the ReRAM bank (writes are
 		// slow) but nobody waits on it.
 		arr := s.mesh.DataTraverse(tile, res.Bank, t)
-		s.llc.BankService(res.Bank, v.Addr, arr, true)
+		s.llc.BankService(res.Bank, arr, true)
 		return
 	}
 	// The LLC no longer holds the line (evicted while the L2 copy lived
 	// on): write-allocate it back using the mapping the MBV remembers.
 	fill := s.llc.Fill(v.Addr, core, mbv, true)
 	arr := s.mesh.DataTraverse(tile, fill.Bank, t)
-	s.llc.BankService(fill.Bank, v.Addr, arr, true)
+	s.llc.BankService(fill.Bank, arr, true)
 	s.handleLLCVictim(fill.Victim, t)
 	if s.cfg.LLC.Policy == nuca.ReNUCA {
 		s.tlbs[core].SetMappingBit(v.Addr, mbv)

@@ -133,11 +133,6 @@ type Result struct {
 	LLC     nuca.Stats
 	PerCore []CoreCounters
 
-	// BankService is the per-bank read/write service-latency histograms
-	// collected by the bank queue model; nil when the queue model is off,
-	// so legacy snapshots (and their goldens) are unchanged.
-	BankService []nuca.BankServiceStats
-
 	// Energy carries the activity totals for the energy accountant
 	// (package energy): technology comparisons are post-processing.
 	Energy energy.Counts
@@ -149,7 +144,6 @@ func (s *System) Snapshot(instrPerCore uint64) Result {
 		Policy:       s.cfg.LLC.Policy.String(),
 		InstrPerCore: instrPerCore,
 		LLC:          s.llc.Stats(),
-		BankService:  s.llc.ServiceStats(),
 	}
 	var lastDone uint64
 	var armedIPC []float64

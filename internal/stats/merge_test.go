@@ -78,11 +78,10 @@ func statsStructs() map[string]any {
 		"cpu.Stats":        cpu.Stats{},
 		"dram.Stats":       dram.Stats{},
 		"energy.Counts":    energy.Counts{},
-		"noc.Stats":             noc.Stats{},
-		"nuca.Stats":            nuca.Stats{},
-		"nuca.QueueStats":       nuca.QueueStats{},
-		"nuca.BankServiceStats": nuca.BankServiceStats{},
-		"predictor.Stats":       predictor.Stats{},
+		"noc.Stats":        noc.Stats{},
+		"nuca.Stats":       nuca.Stats{},
+		"nuca.QueueStats":  nuca.QueueStats{},
+		"predictor.Stats":  predictor.Stats{},
 		"sim.CoreCounters": sim.CoreCounters{},
 		"sim.Result":       sim.Result{},
 		"tlb.Stats":        tlb.Stats{},
