@@ -15,7 +15,7 @@ vet:
 
 # Domain static analysis: nondeterminism, maporder, statsmerge, seedflow,
 # poolslot, allocfree, hotdiv, statreg, invariantcall, the concurrency
-# contracts goroleak, mutexhold, timerleak, selectabort, plus the
+# contracts goroleak and mutexhold, plus the
 # config-plumbing/cache-key dataflow checks optflow and keyflow. See README
 # "Determinism invariants" and "Correctness tooling".
 lint:
@@ -33,11 +33,9 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrency-bearing packages plus the top-level harness.
-# internal/shard includes the coordinator crash/hang stress test, so the
-# whole supervision stack runs under the detector.
 # (`$(GO) test -race ./...` also works; this subset keeps the gate fast.)
 race:
-	$(GO) test -race ./internal/pool/ ./internal/core/ ./internal/shard/ ./internal/experiments/ .
+	$(GO) test -race ./internal/pool/ ./internal/core/ ./internal/experiments/ .
 
 # Full test suite with the runtime architectural-invariant sanitizer armed
 # (MESI legality, cache occupancy conservation, NoC latency envelopes, DRAM

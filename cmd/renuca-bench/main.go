@@ -17,15 +17,9 @@
 // the Runner's singleflight memoisation. Output order and content are
 // identical for every worker count.
 //
-// With -shards N (or RENUCA_SHARDS), the 16-core suite simulations are
-// dispatched to N supervised worker processes (the binary re-executing
-// itself in its hidden -shard-worker mode) instead of in-process worker
-// goroutines; stdout is byte-identical either way at the same seed.
-// Characterisation runs and sweeps stay in-process.
-//
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
-// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS.
+// RENUCA_SEED, RENUCA_WORKERS.
 //
 // Hardware knobs (environment, zero/unset = the paper's Table I values):
 // RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
@@ -49,8 +43,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/pool"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -58,19 +50,9 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = RENUCA_WORKERS or one per CPU)")
-	shards := flag.Int("shards", 0, "run suite simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
-
-	if *shardWorker {
-		if err := shard.RunWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -120,19 +102,6 @@ func main() {
 	if !*quiet {
 		r.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-		}
-	}
-	nShards := pool.DefaultShards(*shards)
-	if nShards > 0 {
-		cmdline, err := shard.SelfCommand("-shard-worker")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-bench:", err)
-			os.Exit(1)
-		}
-		r.Exec = &shard.Coordinator{
-			Shards:  nShards,
-			Command: cmdline,
-			Log:     r.Log,
 		}
 	}
 

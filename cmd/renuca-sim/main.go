@@ -8,14 +8,12 @@
 //	renuca-sim -policy snuca -apps mcf,hmmer,...   (16 names)
 //	renuca-sim -policy rnuca -workload WL3 -instr 1000000
 //	renuca-sim -all -workload WL1                  (all 5 policies, in parallel)
-//	renuca-sim -all -workload WL1 -shards 4        (all 5 policies, 4 worker processes)
 //
 // With -all, the five policies simulate concurrently on a bounded worker
 // pool (RENUCA_WORKERS or -workers, default one per CPU) and a comparison
 // table prints in the paper's policy order; the numbers are identical for
-// any worker count. With -shards N (or RENUCA_SHARDS), the simulations run
-// on N supervised worker processes instead — same bytes on stdout; the
-// wall-clock banner goes to stderr so outputs diff cleanly across modes.
+// any worker count. The wall-clock banner goes to stderr so outputs diff
+// cleanly across worker counts.
 //
 // A single run's breakdown includes a "bank queue:" line: the reads and
 // writes that waited for a busy LLC bank within the 64-cycle contention
@@ -39,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nuca"
 	"repro/internal/pool"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -76,17 +73,7 @@ func main() {
 	listWL := flag.Bool("list-workloads", false, "print the standard workload mixes and exit")
 	all := flag.Bool("all", false, "run all five policies on the workload, in parallel, and print a comparison")
 	workers := flag.Int("workers", 0, "max concurrent simulations with -all (0 = RENUCA_WORKERS or one per CPU)")
-	shards := flag.Int("shards", 0, "with -all: run simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	flag.Parse()
-
-	if *shardWorker {
-		if err := shard.RunWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *listWL {
 		for _, wl := range workload.Standard(16) {
@@ -135,7 +122,7 @@ func main() {
 	o.ReRAMWriteLatency = uint32(*writeLat)
 
 	if *all {
-		runAllPolicies(wlName, o, *workers, pool.DefaultShards(*shards))
+		runAllPolicies(wlName, o, *workers)
 		return
 	}
 
@@ -202,11 +189,10 @@ func main() {
 // runAllPolicies simulates the workload under all five NUCA policies and
 // prints a comparison table in the paper's policy order. Each policy is a
 // core.Unit carrying the caller's fully-resolved base Options (same seed
-// and knobs, only the policy varies), executed either on the in-process
-// worker pool or — with shards > 0 — on supervised worker processes via
-// the shard coordinator. Both modes file reports positionally and print the identical table, so they
-// diff clean on stdout (wall-clock and supervision chatter go to stderr).
-func runAllPolicies(wlName string, base core.Options, workers, shards int) {
+// and knobs, only the policy varies), executed on the in-process worker
+// pool. Reports file positionally, so the table is identical for every
+// worker count (wall-clock goes to stderr).
+func runAllPolicies(wlName string, base core.Options, workers int) {
 	policies := nuca.Policies()
 	units := make([]core.Unit, len(policies))
 	for i, p := range policies {
@@ -214,42 +200,16 @@ func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 		o.Policy = p
 		units[i] = core.Unit{ID: "all/" + p.String() + "/" + wlName, Workload: wlName, Opts: o}
 	}
-	reports := make([]core.Report, len(units))
 	start := time.Now() //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
-	var mode string
-	if shards > 0 {
-		cmdline, err := shard.SelfCommand("-shard-worker")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		coord := &shard.Coordinator{
-			Shards:  shards,
-			Command: cmdline,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-			},
-		}
-		reps, err := coord.RunUnits(units)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		copy(reports, reps)
-		mode = fmt.Sprintf("shards=%d", shards)
-	} else {
-		pl := pool.New(pool.DefaultWorkers(workers))
-		reps, err := core.RunUnitsOn(pl, units)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		copy(reports, reps)
-		mode = fmt.Sprintf("workers=%d", pl.Size())
+	pl := pool.New(pool.DefaultWorkers(workers))
+	reports, err := core.RunUnitsOn(pl, units)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
+		os.Exit(1)
 	}
 
-	fmt.Fprintf(os.Stderr, "# all policies, instr/core=%d %s wall=%s\n",
-		base.InstrPerCore, mode, //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
+	fmt.Fprintf(os.Stderr, "# all policies, instr/core=%d workers=%d wall=%s\n",
+		base.InstrPerCore, pl.Size(), //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
 		time.Since(start).Round(time.Millisecond))
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "policy\tmean IPC\tmin life[y]\th-mean life[y]\twrite imbalance\tLLC writes")

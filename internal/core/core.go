@@ -130,6 +130,10 @@ func config(o Options) (sim.Config, error) {
 	}
 	cfg.LLC.IntraBankWL = o.IntraBankWL
 	if o.ReRAMWriteLatency != 0 {
+		if o.ReRAMWriteLatency < nuca.WriteOccupancyDivisor {
+			return cfg, fmt.Errorf("core: ReRAM write latency %d below %d cycles would give a zero bank write occupancy",
+				o.ReRAMWriteLatency, nuca.WriteOccupancyDivisor)
+		}
 		cfg.LLC.WriteLatency = o.ReRAMWriteLatency
 		cfg.LLC.WriteOccupancy = o.ReRAMWriteLatency / nuca.WriteOccupancyDivisor
 	}
@@ -253,14 +257,13 @@ func RunSuiteOn(pl *pool.Pool, base Options, workloads []workload.Workload) (Sui
 }
 
 // Unit is one suite simulation work unit: fully resolved Options (policy,
-// apps, derived seed — everything a worker needs, all plain serialisable
-// data) plus the identity labels the aggregation layer files the result
-// under. Units are what the shard runner ships to worker processes; a unit
-// executed anywhere yields the identical Report because Options alone
-// determine the simulation.
+// apps, derived seed — everything a simulation needs) plus the identity
+// labels the aggregation layer files the result under. A unit yields the
+// identical Report on any pool slot because Options alone determine the
+// simulation.
 type Unit struct {
-	// ID is a stable human-readable key ("variant/policy/workload") used
-	// for dispatch bookkeeping and error attribution.
+	// ID is a stable human-readable key ("variant/policy/workload") that
+	// callers use to name the unit in logs and failure reports.
 	ID string
 	// Workload names the workload the unit simulates; it is copied onto
 	// the resulting Report exactly as RunSuiteOn does.
@@ -319,10 +322,8 @@ func RunUnitsOn(pl *pool.Pool, units []Unit) ([]Report, error) {
 }
 
 // AggregateSuite folds per-workload Reports (in workload order) into the
-// paper's suite aggregates. It is the single aggregation path for both the
-// in-process pool runner and the multi-process shard runner: as long as
-// reports arrive positionally, the SuiteReport is byte-identical however
-// and wherever the simulations executed.
+// paper's suite aggregates. As long as reports arrive positionally, the
+// SuiteReport is byte-identical whatever order the simulations finished in.
 func AggregateSuite(policy string, reports []Report) SuiteReport {
 	sr := SuiteReport{Policy: policy, Reports: reports}
 	var perBank [][]float64

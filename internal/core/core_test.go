@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/nuca"
 	"repro/internal/pool"
 	"repro/internal/workload"
 )
@@ -114,6 +116,44 @@ func TestNewSystemRejectsTagOverflow(t *testing.T) {
 		if _, err := NewSystem(o); err == nil {
 			t.Errorf("L2Bytes=%d L3BankBytes=%d built; want an error", o.L2Bytes, o.L3BankBytes)
 		}
+	}
+}
+
+// TestRunRejectsBadOptions: every out-of-range Options field is a
+// construction error returned by Run, never a panic and never a silently
+// degenerate simulation.
+func TestRunRejectsBadOptions(t *testing.T) {
+	base := DefaultOptions(ReNUCA)
+	base.Apps = apps16()
+	base.InstrPerCore = 2000
+	base.Warmup = 500
+	for _, tc := range []struct {
+		name string
+		mod  func(*Options)
+		want string
+	}{
+		{"unknown policy", func(o *Options) { o.Policy = 99 }, "unknown policy 99"},
+		{"NaN threshold", func(o *Options) { o.CriticalityThresholdPct = math.NaN() }, "threshold"},
+		{"write latency below divisor", func(o *Options) { o.ReRAMWriteLatency = nuca.WriteOccupancyDivisor - 1 }, "write latency"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := base
+			tc.mod(&o)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			_, err := Run(o)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run err = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// The smallest accepted write latency still runs.
+	base.ReRAMWriteLatency = nuca.WriteOccupancyDivisor
+	if _, err := Run(base); err != nil {
+		t.Errorf("ReRAMWriteLatency=%d: %v", base.ReRAMWriteLatency, err)
 	}
 }
 

@@ -70,8 +70,8 @@ func DefaultParams() Params {
 // ParamsFromEnv starts from DefaultParams and applies the RENUCA_INSTR,
 // RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP and RENUCA_SEED
 // environment overrides, so benchmark runs can be scaled without editing
-// code. Each must be a positive integer. RENUCA_WORKERS is read by
-// pool.DefaultWorkers.
+// code. Each must be a positive integer, as must RENUCA_WORKERS, the
+// simulation concurrency cap (unset = one worker per CPU).
 //
 // The hardware knobs have overrides too: RENUCA_L2 and RENUCA_L3BANK
 // (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD (criticality percent),
@@ -130,7 +130,10 @@ func ParamsFromEnv() (Params, error) {
 			p.IntraBankWL = b
 		}
 	}
-	p.Workers = pool.DefaultWorkers(0)
+	parse("RENUCA_WORKERS", 31, true, func(n uint64) { p.Workers = int(n) })
+	if p.Workers == 0 {
+		p.Workers = pool.DefaultWorkers(0)
+	}
 	return p, errors.Join(errs...)
 }
 
@@ -176,13 +179,6 @@ type Runner struct {
 	// serialises calls and prefixes each line with the suite key that
 	// produced it.
 	Log func(format string, args ...any)
-	// Exec, when non-nil, executes suite units out-of-process (the shard
-	// coordinator implements it). Suite simulations are then dispatched as
-	// one flat unit batch per variant instead of through the in-process
-	// pool; either path files every Report positionally and aggregates
-	// through core.AggregateSuite, so the suites are byte-identical.
-	// Characterisation runs and sweeps stay in-process either way.
-	Exec UnitRunner
 
 	logMu sync.Mutex
 	pool  *pool.Pool
@@ -221,15 +217,6 @@ func (r *Runner) logf(key, format string, args ...any) {
 // workloads returns the standard WL1..WL10.
 func (r *Runner) workloads() []workload.Workload { return core.StandardWorkloads() }
 
-// UnitRunner executes a batch of suite units and returns their Reports
-// positionally: reports[i] is units[i]'s result. internal/shard's
-// Coordinator is the production implementation; the interface lives here
-// so the experiment layer depends only on the contract, not on process
-// management.
-type UnitRunner interface {
-	RunUnits(units []core.Unit) ([]core.Report, error)
-}
-
 // options resolves the Options every simulation the Runner builds starts
 // from: the policy's Table I defaults, the Params window and seed, then the
 // Params hardware overrides (zero = Table I default, matching the Options
@@ -252,9 +239,8 @@ func (r *Runner) options(p core.Policy) core.Options {
 // policyOptions resolves the complete Options for one (variant, policy)
 // cell — the Runner's base options, the derived per-policy seed, then the
 // variant's modification, which wins. It is the single source of suite
-// configuration for both the in-process and the sharded execution paths;
-// the per-workload seed derivation on top of it happens in core.SuiteUnits
-// either way.
+// configuration; the per-workload seed derivation on top of it happens in
+// core.SuiteUnits.
 func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 	o := r.options(p)
 	o.Seed = core.DeriveSeed(r.P.Seed, v.Key, p.String())
@@ -282,31 +268,25 @@ func (r *Runner) memoKey(base string) string {
 // The five policies fan out concurrently; each policy's ten workloads fan
 // out inside core.RunSuiteOn as per-unit pool tasks. All leaf simulations
 // gate on the shared pool, and every result lands at its (policy, workload)
-// position, so the suite is identical for any worker count. With Exec set, the same units ship to worker
-// processes instead — same positions, same aggregation, same bytes.
+// position, so the suite is identical for any worker count.
 func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 	return r.suiteFlight.Do(r.memoKey(v.Key), func() (map[string]core.SuiteReport, error) {
 		policies := core.Policies()
 		reports := make([]core.SuiteReport, len(policies))
-		var err error
-		if r.Exec != nil {
-			err = r.suiteSetSharded(v, policies, reports)
-		} else {
-			// One coordinator per policy: pool.Coordinate holds no pool slot
-			// while the workload simulations queue, so nesting cannot deadlock.
-			err = pool.Coordinate(len(policies), func(i int) error {
-				p := policies[i]
-				o := r.policyOptions(v, p)
-				r.logf(v.Key, "policy %-8s (10 workloads x %d instr/core)", p, o.InstrPerCore)
-				sr, err := core.RunSuiteOn(r.pool, o, r.workloads())
-				if err != nil {
-					return fmt.Errorf("variant %s: %w", v.Key, err)
-				}
-				r.sims.Add(uint64(len(sr.Reports)))
-				reports[i] = sr
-				return nil
-			})
-		}
+		// One coordinator per policy: pool.Coordinate holds no pool slot
+		// while the workload simulations queue, so nesting cannot deadlock.
+		err := pool.Coordinate(len(policies), func(i int) error {
+			p := policies[i]
+			o := r.policyOptions(v, p)
+			r.logf(v.Key, "policy %-8s (10 workloads x %d instr/core)", p, o.InstrPerCore)
+			sr, err := core.RunSuiteOn(r.pool, o, r.workloads())
+			if err != nil {
+				return fmt.Errorf("variant %s: %w", v.Key, err)
+			}
+			r.sims.Add(uint64(len(sr.Reports)))
+			reports[i] = sr
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -316,29 +296,4 @@ func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 		}
 		return set, nil
 	})
-}
-
-// suiteSetSharded dispatches a variant's full policy-cross-workload unit
-// batch to r.Exec in one flat slice, then slices the positional reports
-// back per policy and aggregates each through core.AggregateSuite — the
-// identical fold the in-process path uses.
-func (r *Runner) suiteSetSharded(v Variant, policies []core.Policy, out []core.SuiteReport) error {
-	wls := r.workloads()
-	units := make([]core.Unit, 0, len(policies)*len(wls))
-	for _, p := range policies {
-		units = append(units, core.SuiteUnits(v.Key, r.policyOptions(v, p), wls)...)
-	}
-	r.logf(v.Key, "dispatching %d units (%d policies x %d workloads) to the shard runner", len(units), len(policies), len(wls))
-	reps, err := r.Exec.RunUnits(units)
-	if err != nil {
-		return fmt.Errorf("variant %s: %w", v.Key, err)
-	}
-	if len(reps) != len(units) {
-		return fmt.Errorf("variant %s: shard runner returned %d reports for %d units", v.Key, len(reps), len(units))
-	}
-	r.sims.Add(uint64(len(reps)))
-	for i, p := range policies {
-		out[i] = core.AggregateSuite(p.String(), reps[i*len(wls):(i+1)*len(wls)])
-	}
-	return nil
 }

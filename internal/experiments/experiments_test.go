@@ -54,6 +54,9 @@ func TestParamsFromEnv(t *testing.T) {
 		{"RENUCA_WRITE_LAT", "5000000000"},
 		{"RENUCA_THRESHOLD", "NaN"},
 		{"RENUCA_INTRABANK_WL", "yes"},
+		{"RENUCA_WORKERS", "many"},
+		{"RENUCA_WORKERS", "0"},
+		{"RENUCA_WORKERS", "-2"},
 		{"RENUCA_QUEUE", "1"},
 		{"RENUCA_QUEUE", "0"},
 		{"RENUCA_CWINDOW", "64"},

@@ -10,14 +10,7 @@ import (
 // variant's five-policy suite under the given worker count.
 func renderSuiteOutputs(t *testing.T, p Params) string {
 	t.Helper()
-	return renderSuiteOutputsOn(t, NewRunner(p))
-}
-
-// renderSuiteOutputsOn is renderSuiteOutputs on a caller-built Runner, so
-// the shard tests can render through a Runner with Exec wired in.
-func renderSuiteOutputsOn(t *testing.T, r *Runner) string {
-	t.Helper()
-	lr, err := r.Lifetime(mustVariant("actual"))
+	lr, err := NewRunner(p).Lifetime(mustVariant("actual"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package lint implements renuca-lint, the project's domain-specific static
-// analysis. Sixteen analyzers built on go/ast and go/types only enforce the
+// analysis. Thirteen analyzers built on go/ast and go/types only enforce the
 // simulator's four contracts. The scientific contract — identical results
 // for identical (seed, config) regardless of wall-clock, worker count, or
 // map iteration order:
@@ -29,18 +29,13 @@
 //     bearing packages (coherence, cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
 //
-// And the concurrency-safety contract — the pool/shard supervision stack
-// cannot deadlock or leak goroutines or timers:
+// And the concurrency-safety contract — the worker pool and the experiment
+// fan-out cannot deadlock or leak goroutines:
 //
 //   - goroleak: every goroutine launch carries a visible join (WaitGroup
 //     Add/Done pairing, owned done-channel close, or result send);
 //   - mutexhold: no mutex held across blocking operations (channel ops,
-//     Wait, Sleep, select without default, pipe/process I/O);
-//   - timerleak: time.After in loops, time.Tick anywhere, and
-//     NewTimer/NewTicker/AfterFunc without a visible Stop;
-//   - selectabort: internal/shard supervision waits must be escapable —
-//     selects carry an abort/done/timer case or a default, bare receives
-//     only from join channels.
+//     Wait, Sleep, select without default, pipe/process I/O).
 //
 // And the config-plumbing contract — every result is a pure function of a
 // fully-resolved core.Options + seed, so every knob must flow end to end
@@ -49,8 +44,8 @@
 //
 //   - optflow: exported core.Options / experiments.Params fields must be
 //     consumed by simulator construction, settable from a CLI flag or env
-//     var in the command binaries, and survive the shard Unit JSON
-//     round-trip (no json:"-", no lossy SuiteUnits/RunUnit copy);
+//     var in the command binaries, and reach every unit intact (no lossy
+//     Options literal in SuiteUnits/RunUnit);
 //   - keyflow: a pool.Flight.Do closure that transitively reads an
 //     Options/Params field must fold that field into its key expression,
 //     or two configurations alias one memo entry.
@@ -129,7 +124,7 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all fifteen analyzers. optflow
+// NewAnalyzers returns fresh instances of all thirteen analyzers. optflow
 // and keyflow share one field-provenance engine so the whole-program graph
 // is built once per run.
 func NewAnalyzers() []*Analyzer {
@@ -146,8 +141,6 @@ func NewAnalyzers() []*Analyzer {
 		newInvariantCall(),
 		newGoroLeak(),
 		newMutexHold(),
-		newTimerLeak(),
-		newSelectAbort(),
 		newOptFlow(engine),
 		newKeyFlow(engine),
 	}

@@ -156,8 +156,6 @@ func TestStatRegFixture(t *testing.T)        { runFixture(t, "statreg") }
 func TestInvariantCallFixture(t *testing.T)  { runFixture(t, "invariantcall") }
 func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
 func TestMutexHoldFixture(t *testing.T)      { runFixture(t, "mutexhold") }
-func TestTimerLeakFixture(t *testing.T)      { runFixture(t, "timerleak") }
-func TestSelectAbortFixture(t *testing.T)    { runFixture(t, "selectabort") }
 
 // TestLoaderSkipsTaggedOutFiles pins the loader's build-constraint
 // filtering: the buildtag fixture's two files declare the same names under
@@ -237,7 +235,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
 	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,statreg,invariantcall," +
-		"goroleak,mutexhold,timerleak,selectabort,optflow,keyflow"
+		"goroleak,mutexhold,optflow,keyflow"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)
 	}

@@ -13,9 +13,7 @@ import (
 // held across a channel operation, a Wait, a sleep, or pipe/process I/O is
 // the classic lock-ordering deadlock shape — every other goroutine needing
 // the lock stalls behind an operation whose completion may itself depend
-// on one of them (the exact trap the shard coordinator's dispatch path has to
-// dodge: holding a bookkeeping lock across a write into a dead worker's
-// pipe).
+// on one of them.
 //
 // The analysis is a per-function linear scan: Lock/RLock opens a critical
 // section keyed by the mutex's variable or field, Unlock/RUnlock closes

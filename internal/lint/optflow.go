@@ -6,15 +6,13 @@ package lint
 // through field-to-field flow like policyOptions copying Params into
 // Options), (b) be settable from the outside world — a CLI flag or env
 // var reachable from cmd/renuca-sim and cmd/renuca-bench (Options) or
-// cmd/renuca-bench (Params), and (c) survive the shard Unit JSON
-// round-trip: no json:"-" tag, and no composite Options literal in
-// SuiteUnits/RunUnit that silently drops exported fields. Fields that are
-// intentionally outside one of these paths carry a //lint:allow optflow
-// with the rationale.
+// cmd/renuca-bench (Params), and (c) reach every suite unit intact: no
+// composite Options literal in SuiteUnits/RunUnit that silently drops
+// exported fields. Fields that are intentionally outside one of these
+// paths carry a //lint:allow optflow with the rationale.
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 )
@@ -35,7 +33,7 @@ func optflowCmds(name string) []string {
 func newOptFlow(e *fieldFlow) *Analyzer {
 	a := &Analyzer{
 		Name: "optflow",
-		Doc:  "exported Options/Params fields must be consumed by simulator construction, settable from a flag or env var in the CLIs, and survive the shard Unit round-trip",
+		Doc:  "exported Options/Params fields must be consumed by simulator construction, settable from a flag or env var in the CLIs, and copied whole into every suite unit",
 	}
 	a.Run = func(p *Pass) { e.add(p) }
 	a.Finish = func(report func(Diagnostic)) {
@@ -129,20 +127,14 @@ func newOptFlow(e *fieldFlow) *Analyzer {
 							ts.key.name, fv.Name(), "cmd"+strings.TrimPrefix(suf, "/cmd"))))
 					}
 				}
-				if ts.key.name == "Options" {
-					if tag, ok := reflect.StructTag(ts.st.Tag(i)).Lookup("json"); ok && (tag == "-" || strings.HasPrefix(tag, "-,")) {
-						report(e.diagAt(a.Name, fv.Pos(), fmt.Sprintf(
-							"Options.%s carries json:\"-\" and is dropped by the shard Unit round-trip: sharded runs would diverge from in-process runs",
-							fv.Name())))
-					}
-				}
 			}
 
 			// (c) Lossy copies: a keyed Options composite literal inside
 			// SuiteUnits/RunUnit that omits exported fields builds the
-			// shard-facing Options from scratch and loses every omitted
-			// knob. (Whole-struct copies `o := base` never appear as
-			// composite literals, so they pass untouched — as they should.)
+			// unit's Options from scratch and silently runs every omitted
+			// knob at its zero value. (Whole-struct copies `o := base` never
+			// appear as composite literals, so they pass untouched — as they
+			// should.)
 			if ts.key.name != "Options" {
 				continue
 			}
@@ -168,7 +160,7 @@ func newOptFlow(e *fieldFlow) *Analyzer {
 				if len(missing) > 0 {
 					sort.Strings(missing)
 					report(e.diagAt(a.Name, cs.lit.Pos(), fmt.Sprintf(
-						"Options literal in %s drops exported fields %s: lossy copy breaks the shard Unit round-trip",
+						"Options literal in %s drops exported fields %s: lossy copy runs the unit without those knobs",
 						name, strings.Join(missing, ", "))))
 				}
 			}

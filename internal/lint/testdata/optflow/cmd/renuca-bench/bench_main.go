@@ -24,9 +24,5 @@ func main() {
 		n, _ := strconv.ParseUint(v, 10, 64)
 		o.Seed = n
 	}
-	if v := os.Getenv("HIDDEN"); v != "" {
-		n, _ := strconv.ParseUint(v, 10, 64)
-		o.Hidden = n
-	}
 	_ = core.Run(o)
 }

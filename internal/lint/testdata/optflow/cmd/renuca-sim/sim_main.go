@@ -11,13 +11,11 @@ import (
 func main() {
 	instr := flag.Uint64("instr", 1000, "instructions per core")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	hidden := flag.Uint64("hidden", 0, "hidden knob")
 	flag.Parse()
 
 	var o core.Options
 	o.Instr = *instr
 	o.Seed = *seed
-	o.Hidden = *hidden
 	_ = core.Run(o)
 	_ = core.SuiteUnits(o, 2)
 }

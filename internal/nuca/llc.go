@@ -2,6 +2,7 @@ package nuca
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/rram"
@@ -183,6 +184,9 @@ func BankConfig(cfg Config, b int) cache.Config {
 // New builds the LLC. wear must be configured with matching bank count and
 // frames per bank.
 func New(cfg Config, wear *rram.Wear) (*LLC, error) {
+	if !slices.Contains(Policies(), cfg.Policy) {
+		return nil, fmt.Errorf("nuca: unknown policy %d", cfg.Policy)
+	}
 	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
 		return nil, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
 	}

@@ -34,25 +34,6 @@ func DefaultWorkers(explicit int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultShards resolves how many worker processes a shard coordinator
-// spawns: an explicit positive request wins, then the RENUCA_SHARDS
-// environment variable, then 0 — meaning "not sharded, stay in-process".
-// Unlike DefaultWorkers there is no per-CPU fallback: forking worker
-// processes is opt-in, because the in-process pool already saturates one
-// host and sharding pays a process-spawn and serialisation overhead that
-// only wins on big sweeps.
-func DefaultShards(explicit int) int {
-	if explicit > 0 {
-		return explicit
-	}
-	if v := os.Getenv("RENUCA_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
 // Pool is a bounded set of execution slots. A single Pool is shared across
 // every suite and characterisation run a Runner launches, so total
 // simulation concurrency — and therefore peak memory — is capped at Size

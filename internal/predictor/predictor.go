@@ -100,7 +100,7 @@ func New(cfg Config) (*CPT, error) {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 		return nil, fmt.Errorf("predictor: entries %d must be a positive power of two", cfg.Entries)
 	}
-	if cfg.ThresholdPct <= 0 || cfg.ThresholdPct > 100 {
+	if !(cfg.ThresholdPct > 0 && cfg.ThresholdPct <= 100) { // NaN fails both
 		return nil, fmt.Errorf("predictor: threshold %v%% out of (0,100]", cfg.ThresholdPct)
 	}
 	c := &CPT{

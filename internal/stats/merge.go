@@ -148,30 +148,6 @@ func snapshotValue(out map[string]float64, path string, v reflect.Value) {
 	}
 }
 
-// DiffNumeric compares two structs of the same type through their numeric
-// snapshots and returns the sorted paths whose values differ (including
-// paths present in only one side). It is the equality half of the
-// merge/snapshot contract: the shard coordinator's determinism checks and
-// tests use it to name exactly which counter diverged between a merged
-// multi-process result and its single-process reference, instead of
-// reporting an opaque byte mismatch.
-func DiffNumeric(a, b any) []string {
-	sa, sb := SnapshotNumeric(a), SnapshotNumeric(b)
-	var diff []string
-	for p, va := range sa {
-		if vb, ok := sb[p]; !ok || va != vb {
-			diff = append(diff, p)
-		}
-	}
-	for p := range sb {
-		if _, ok := sa[p]; !ok {
-			diff = append(diff, p)
-		}
-	}
-	sort.Strings(diff)
-	return diff
-}
-
 // NumericFieldPaths returns the sorted snapshot paths of v — the
 // enumerable surface of its counters.
 func NumericFieldPaths(v any) []string {

@@ -239,36 +239,3 @@ func TestNumericFieldPathsSorted(t *testing.T) {
 		}
 	}
 }
-
-// TestDiffNumeric pins the divergence reporter the shard tests rely on:
-// equal structs diff empty, and a changed counter, a changed slice element
-// and a length mismatch are each named by their exact snapshot path.
-func TestDiffNumeric(t *testing.T) {
-	a := sim.Result{MeanIPC: 1.5, IPC: []float64{1, 2}, MeasuredCycles: 100}
-	if d := stats.DiffNumeric(a, a); len(d) != 0 {
-		t.Errorf("identical structs diff as %v", d)
-	}
-	b := a
-	b.MeanIPC = 2.5
-	b.IPC = []float64{1, 3, 4} // [1] changed, [2] only on one side
-	got := stats.DiffNumeric(a, b)
-	for _, want := range []string{"MeanIPC", "IPC[1]", "IPC[2]"} {
-		found := false
-		for _, p := range got {
-			if p == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("diff %v missing path %q", got, want)
-		}
-	}
-	for _, p := range got {
-		if p == "MeasuredCycles" || p == "IPC[0]" {
-			t.Errorf("diff %v names unchanged path %q", got, p)
-		}
-	}
-	if !sort.StringsAreSorted(got) {
-		t.Errorf("diff paths not sorted: %v", got)
-	}
-}
