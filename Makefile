@@ -5,16 +5,20 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-self test race simcheck check bench bench-archive bench-full profile
+.PHONY: build fmt vet lint lint-self test race simcheck check bench bench-archive bench-full profile
 
 build:
 	$(GO) build ./...
+
+# Every Go file is gofmt-clean; gofmt -l lists the ones that are not.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
 
 # Domain static analysis: nondeterminism, maporder, statsmerge, seedflow,
-# poolslot, allocfree, hotdiv, statreg, invariantcall, the concurrency
+# poolslot, allocfree, hotdiv, invariantcall, the concurrency
 # contracts goroleak and mutexhold, plus the
 # config-plumbing/cache-key dataflow checks optflow and keyflow. See README
 # "Determinism invariants" and "Correctness tooling".
@@ -43,7 +47,7 @@ race:
 simcheck:
 	$(GO) test -tags simcheck -race ./...
 
-check: build vet lint test race
+check: build fmt vet lint test race
 
 # Hot-path microbenchmarks in short mode: per-package probe costs plus the
 # end-to-end single-simulation baseline. CI runs this as a smoke. The text

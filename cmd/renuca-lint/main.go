@@ -1,4 +1,4 @@
-// Command renuca-lint runs the project's thirteen domain analyzers (package
+// Command renuca-lint runs the project's twelve domain analyzers (package
 // internal/lint) — determinism, stats-invariant, hot-path allocation/divide,
 // sanitizer-coverage, concurrency-safety, and config-plumbing/cache-key
 // dataflow checks — over the module and reports violations as

@@ -13,7 +13,8 @@
 // pool (RENUCA_WORKERS or -workers, default one per CPU) and a comparison
 // table prints in the paper's policy order; the numbers are identical for
 // any worker count. The wall-clock banner goes to stderr so outputs diff
-// cleanly across worker counts.
+// cleanly across worker counts. Without -workers, a RENUCA_WORKERS that is
+// not a positive integer makes -all exit 2 with one line naming it.
 //
 // A single run's breakdown includes a "bank queue:" line: the reads and
 // writes that waited for a busy LLC bank within the 64-cycle contention
@@ -200,8 +201,13 @@ func runAllPolicies(wlName string, base core.Options, workers int) {
 		o.Policy = p
 		units[i] = core.Unit{ID: "all/" + p.String() + "/" + wlName, Workload: wlName, Opts: o}
 	}
+	n, err := pool.DefaultWorkers(workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
+		os.Exit(2)
+	}
 	start := time.Now() //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
-	pl := pool.New(pool.DefaultWorkers(workers))
+	pl := pool.New(n)
 	reports, err := core.RunUnitsOn(pl, units)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-sim:", err)

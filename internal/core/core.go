@@ -241,7 +241,11 @@ func DeriveSeed(base uint64, labels ...string) uint64 {
 // parallel on a private worker pool sized by RENUCA_WORKERS (default: one
 // worker per CPU); use RunSuiteOn to share a pool across suites.
 func RunSuite(base Options, workloads []workload.Workload) (SuiteReport, error) {
-	return RunSuiteOn(pool.New(pool.DefaultWorkers(0)), base, workloads)
+	n, err := pool.DefaultWorkers(0)
+	if err != nil {
+		return SuiteReport{}, err
+	}
+	return RunSuiteOn(pool.New(n), base, workloads)
 }
 
 // RunSuiteOn is RunSuite drawing its per-workload simulations from the
@@ -337,7 +341,7 @@ func AggregateSuite(policy string, reports []Report) SuiteReport {
 			all = append(all, l)
 		}
 		ipcs = append(ipcs, rep.MeanIPC)
-		stats.MergeNumeric(&sr.LLC, &rep.LLC)
+		sr.LLC.Add(rep.LLC)
 	}
 	for _, ls := range perBank {
 		sr.BankHMeanLifetimes = append(sr.BankHMeanLifetimes, stats.HarmonicMean(ls))

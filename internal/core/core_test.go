@@ -101,6 +101,44 @@ func TestRunSuiteAggregation(t *testing.T) {
 	}
 }
 
+// TestAggregateSuiteByHand folds three hand-built Reports (no simulation)
+// and checks every aggregate against values worked out on paper.
+func TestAggregateSuiteByHand(t *testing.T) {
+	rep := func(ipc float64, lifetimes []float64, llc nuca.Stats) Report {
+		var r Report
+		r.MeanIPC, r.BankLifetimes, r.LLC = ipc, lifetimes, llc
+		return r
+	}
+	reports := []Report{
+		rep(1.0, []float64{1, 2}, nuca.Stats{ReadHits: 1, Fills: 10, Queue: nuca.QueueStats{Slipped: 100}}),
+		rep(1.5, []float64{2, 4}, nuca.Stats{ReadHits: 2, Writebacks: 5, Queue: nuca.QueueStats{ReadWaitCycles: 7}}),
+		rep(2.0, []float64{4, 4}, nuca.Stats{ReadHits: 3, WritesCritical: 9, Queue: nuca.QueueStats{Slipped: 1, WriteQueued: 4}}),
+	}
+	sr := AggregateSuite("S-NUCA", reports)
+
+	wantLLC := nuca.Stats{ReadHits: 6, Writebacks: 5, Fills: 10, WritesCritical: 9,
+		Queue: nuca.QueueStats{Slipped: 101, WriteQueued: 4, ReadWaitCycles: 7}}
+	if sr.LLC != wantLLC {
+		t.Errorf("LLC = %+v, want the field-wise sum %+v", sr.LLC, wantLLC)
+	}
+	if sr.Policy != "S-NUCA" || len(sr.Reports) != 3 {
+		t.Errorf("policy %q with %d reports, want S-NUCA with 3", sr.Policy, len(sr.Reports))
+	}
+	near := func(name string, got, want float64) {
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	near("MeanIPC", sr.MeanIPC, 1.5)                   // (1 + 1.5 + 2) / 3
+	near("RawMinLifetime", sr.RawMinLifetime, 1)       // min of all six
+	near("HMeanLifetime", sr.HMeanLifetime, 24.0/11.0) // 6 / (1 + 1/2 + 1/2 + 1/4 + 1/4 + 1/4)
+	if len(sr.BankHMeanLifetimes) != 2 {
+		t.Fatalf("%d bank h-means, want 2", len(sr.BankHMeanLifetimes))
+	}
+	near("bank 0 h-mean", sr.BankHMeanLifetimes[0], 12.0/7.0) // 3 / (1 + 1/2 + 1/4)
+	near("bank 1 h-mean", sr.BankHMeanLifetimes[1], 3)        // 3 / (1/2 + 1/4 + 1/4)
+}
+
 // TestNewSystemRejectsTagOverflow: cache sizes small enough that their
 // tags overflow a cache frame at the 16-core address width (or that do not
 // divide into their ways at all) are Options errors, never panics.

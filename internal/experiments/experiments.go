@@ -130,9 +130,10 @@ func ParamsFromEnv() (Params, error) {
 			p.IntraBankWL = b
 		}
 	}
-	parse("RENUCA_WORKERS", 31, true, func(n uint64) { p.Workers = int(n) })
-	if p.Workers == 0 {
-		p.Workers = pool.DefaultWorkers(0)
+	if n, err := pool.DefaultWorkers(0); err != nil {
+		errs = append(errs, err)
+	} else {
+		p.Workers = n
 	}
 	return p, errors.Join(errs...)
 }
@@ -189,9 +190,15 @@ type Runner struct {
 	sweepFlight  pool.Flight[string, []ThresholdPoint]
 }
 
-// NewRunner builds a Runner with the given parameters.
+// NewRunner builds a Runner with the given parameters. It panics if
+// p.Workers is 0 and RENUCA_WORKERS is malformed; ParamsFromEnv reports
+// that as an error instead.
 func NewRunner(p Params) *Runner {
-	return &Runner{P: p, pool: pool.New(pool.DefaultWorkers(p.Workers))}
+	n, err := pool.DefaultWorkers(p.Workers)
+	if err != nil {
+		panic(err)
+	}
+	return &Runner{P: p, pool: pool.New(n)}
 }
 
 // Workers returns the size of the Runner's simulation pool.

@@ -147,7 +147,7 @@ func TestStaleAllowFixture(t *testing.T)   { runAllowFixture(t, "allowstale") }
 
 // BenchmarkLintRepo measures one full lint pass — parse and type-check the
 // whole module (including GOROOT source for stdlib imports), then run all
-// thirteen analyzers. This is the cost `make lint` and the CI gate pay.
+// twelve analyzers. This is the cost `make lint` and the CI gate pay.
 func BenchmarkLintRepo(b *testing.B) {
 	root := moduleRoot(b)
 	b.ReportAllocs()

@@ -1,5 +1,5 @@
 // Package lint implements renuca-lint, the project's domain-specific static
-// analysis. Thirteen analyzers built on go/ast and go/types only enforce the
+// analysis. Twelve analyzers built on go/ast and go/types only enforce the
 // simulator's four contracts. The scientific contract — identical results
 // for identical (seed, config) regardless of wall-clock, worker count, or
 // map iteration order:
@@ -16,15 +16,13 @@
 //     internal/core that bypass internal/pool's bounded slots.
 //
 // And the performance/correctness contract — hot paths stay allocation- and
-// divide-free, and the counters and runtime invariants that validate the
-// paper's figures cannot silently drop out of coverage:
+// divide-free, and the runtime invariants that validate the paper's figures
+// cannot silently drop out of coverage:
 //
 //   - allocfree: closures, append growth, make/new, escaping composite
 //     literals and interface conversions in //lint:hotpath functions;
 //   - hotdiv: integer `/` and `%` by construction-time-fixed values in
 //     //lint:hotpath functions, where a mask/shift or memoised table applies;
-//   - statreg: Stats-like structs with exported numeric counters that never
-//     reach the stats.MergeNumeric/SnapshotNumeric reflection net;
 //   - invariantcall: exported state-mutating methods in the invariant-
 //     bearing packages (coherence, cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
@@ -124,7 +122,7 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all thirteen analyzers. optflow
+// NewAnalyzers returns fresh instances of all twelve analyzers. optflow
 // and keyflow share one field-provenance engine so the whole-program graph
 // is built once per run.
 func NewAnalyzers() []*Analyzer {
@@ -137,7 +135,6 @@ func NewAnalyzers() []*Analyzer {
 		newPoolSlot(),
 		newAllocFree(),
 		newHotDiv(),
-		newStatReg(),
 		newInvariantCall(),
 		newGoroLeak(),
 		newMutexHold(),

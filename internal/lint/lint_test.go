@@ -152,7 +152,6 @@ func TestSeedFlowFixture(t *testing.T)       { runFixture(t, "seedflow") }
 func TestPoolSlotFixture(t *testing.T)       { runFixture(t, "poolslot") }
 func TestAllocFreeFixture(t *testing.T)      { runFixture(t, "allocfree") }
 func TestHotDivFixture(t *testing.T)         { runFixture(t, "hotdiv") }
-func TestStatRegFixture(t *testing.T)        { runFixture(t, "statreg") }
 func TestInvariantCallFixture(t *testing.T)  { runFixture(t, "invariantcall") }
 func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
 func TestMutexHoldFixture(t *testing.T)      { runFixture(t, "mutexhold") }
@@ -234,7 +233,7 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerRoster pins the analyzer set the documentation promises.
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,statreg,invariantcall," +
+	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,invariantcall," +
 		"goroleak,mutexhold,optflow,keyflow"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)

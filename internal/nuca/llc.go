@@ -122,6 +122,34 @@ type QueueStats struct {
 	WriteWaitCycles uint64
 }
 
+// Add sums o into s field by field; suites fold per-workload LLC counters
+// with it. TestStatsAddSumsEveryCounter fails by field name if a counter is
+// added to Stats but not here.
+func (s *Stats) Add(o Stats) {
+	s.ReadHits += o.ReadHits
+	s.ReadMisses += o.ReadMisses
+	s.Writebacks += o.Writebacks
+	s.WritebackHits += o.WritebackHits
+	s.WritebackFills += o.WritebackFills
+	s.Fills += o.Fills
+	s.FallbackProbes += o.FallbackProbes
+	s.FallbackHits += o.FallbackHits
+	s.CriticalFills += o.CriticalFills
+	s.NonCriticalFills += o.NonCriticalFills
+	s.WritesCritical += o.WritesCritical
+	s.WritesNonCritical += o.WritesNonCritical
+	s.Queue.Add(o.Queue)
+}
+
+// Add sums o into q field by field.
+func (q *QueueStats) Add(o QueueStats) {
+	q.Slipped += o.Slipped
+	q.ReadQueued += o.ReadQueued
+	q.WriteQueued += o.WriteQueued
+	q.ReadWaitCycles += o.ReadWaitCycles
+	q.WriteWaitCycles += o.WriteWaitCycles
+}
+
 // AccessResult reports a lookup: which banks were probed in order, and
 // where the line was found.
 type AccessResult struct {

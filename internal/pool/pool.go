@@ -13,6 +13,7 @@
 package pool
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -21,17 +22,22 @@ import (
 
 // DefaultWorkers resolves the worker count for a pool: an explicit positive
 // request wins, then the RENUCA_WORKERS environment variable, then
-// runtime.GOMAXPROCS(0) (one worker per schedulable CPU).
-func DefaultWorkers(explicit int) int {
+// runtime.GOMAXPROCS(0) (one worker per schedulable CPU). A set
+// RENUCA_WORKERS that is not a positive integer is an error naming it, never
+// a silent fall back to the CPU count.
+func DefaultWorkers(explicit int) (int, error) {
 	if explicit > 0 {
-		return explicit
+		return explicit, nil
 	}
-	if v := os.Getenv("RENUCA_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+	v := os.Getenv("RENUCA_WORKERS")
+	if v == "" {
+		return runtime.GOMAXPROCS(0), nil
 	}
-	return runtime.GOMAXPROCS(0)
+	n, err := strconv.ParseInt(v, 10, 32)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("RENUCA_WORKERS=%q: not a positive integer", v)
+	}
+	return int(n), nil
 }
 
 // Pool is a bounded set of execution slots. A single Pool is shared across

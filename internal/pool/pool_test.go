@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,19 +11,32 @@ import (
 )
 
 func TestDefaultWorkers(t *testing.T) {
-	if got := DefaultWorkers(7); got != 7 {
+	workers := func(explicit int) int {
+		t.Helper()
+		n, err := DefaultWorkers(explicit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if got := workers(7); got != 7 {
 		t.Errorf("explicit request: got %d, want 7", got)
 	}
 	t.Setenv("RENUCA_WORKERS", "3")
-	if got := DefaultWorkers(0); got != 3 {
+	if got := workers(0); got != 3 {
 		t.Errorf("env override: got %d, want 3", got)
 	}
-	if got := DefaultWorkers(2); got != 2 {
+	if got := workers(2); got != 2 {
 		t.Errorf("explicit beats env: got %d, want 2", got)
 	}
-	t.Setenv("RENUCA_WORKERS", "garbage")
-	if got := DefaultWorkers(0); got < 1 {
-		t.Errorf("garbage env: got %d, want >= 1", got)
+	for _, v := range []string{"garbage", "0", "-2", "5000000000"} {
+		t.Setenv("RENUCA_WORKERS", v)
+		if _, err := DefaultWorkers(0); err == nil || !strings.Contains(err.Error(), "RENUCA_WORKERS") {
+			t.Errorf("RENUCA_WORKERS=%q: got error %v, want one naming RENUCA_WORKERS", v, err)
+		}
+		if got := workers(4); got != 4 {
+			t.Errorf("explicit request with RENUCA_WORKERS=%q: got %d, want 4", v, got)
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package stats provides the small statistical toolkit used throughout the
 // Re-NUCA reproduction: harmonic means (the paper reports per-bank lifetimes
-// as harmonic means over workloads), arithmetic means, normalisation against
-// a baseline, and simple distribution summaries for write-count skew.
+// as harmonic means over workloads), arithmetic and geometric means, min and
+// max, percent improvement over a baseline, and the coefficient of variation
+// that summarises per-bank write skew.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // HarmonicMean returns the harmonic mean of xs. It returns 0 when xs is
@@ -86,15 +86,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // PercentImprovement returns 100*(x-base)/base, the form the paper uses for
 // "IPC improvement normalised to S-NUCA".
 func PercentImprovement(x, base float64) float64 {
@@ -121,28 +112,4 @@ func CoeffVariation(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss/float64(len(xs))) / mean
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -57,7 +57,7 @@ func TestHarmonicLeqGeoLeqArithmetic(t *testing.T) {
 	}
 }
 
-func TestMeanMinMaxSum(t *testing.T) {
+func TestMeanMinMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if got := Mean(xs); !almostEqual(got, 2.8) {
 		t.Errorf("Mean = %v, want 2.8", got)
@@ -67,9 +67,6 @@ func TestMeanMinMaxSum(t *testing.T) {
 	}
 	if got := Max(xs); got != 5 {
 		t.Errorf("Max = %v, want 5", got)
-	}
-	if got := Sum(xs); !almostEqual(got, 14) {
-		t.Errorf("Sum = %v, want 14", got)
 	}
 }
 
@@ -104,47 +101,6 @@ func TestCoeffVariation(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	if got := Percentile(xs, 0); got != 10 {
-		t.Errorf("P0 = %v, want 10", got)
-	}
-	if got := Percentile(xs, 100); got != 40 {
-		t.Errorf("P100 = %v, want 40", got)
-	}
-	if got := Percentile(xs, 50); !almostEqual(got, 25) {
-		t.Errorf("P50 = %v, want 25", got)
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestPercentilePropertyWithinRange(t *testing.T) {
-	f := func(raw []float64, p uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, r := range raw {
-			if !math.IsNaN(r) && !math.IsInf(r, 0) {
-				xs = append(xs, r)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		pct := float64(p % 101) // 0..100
-		v := Percentile(xs, pct)
-		return v >= Min(xs)-1e-9 && v <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean(nil); got != 0 {
 		t.Errorf("empty GeoMean = %v, want 0", got)
@@ -167,26 +123,6 @@ func TestMaxPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Max(nil)
-}
-
-func TestPercentilePanicsOnEmptyAndRange(t *testing.T) {
-	for _, f := range []func(){
-		func() { Percentile(nil, 50) },
-		func() { Percentile([]float64{1}, -1) },
-		func() { Percentile([]float64{1}, 101) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-	if got := Percentile([]float64{7}, 50); got != 7 {
-		t.Errorf("single-element percentile = %v, want 7", got)
-	}
 }
 
 func TestPercentImprovementPanicsOnZeroBase(t *testing.T) {
