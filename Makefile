@@ -51,17 +51,18 @@ check: build fmt vet lint test race
 
 # Hot-path microbenchmarks in short mode: per-package probe costs plus the
 # end-to-end single-simulation baseline. CI runs this as a smoke. The text
-# log is preserved verbatim and also distilled into BENCH.json (median
-# ns/op and ops-per-sec per benchmark, plus median B/op and allocs/op
-# where reported) by renuca-benchjson; raise
+# log is preserved verbatim and also distilled into BENCH.json (median,
+# min and max ns/op and ops-per-sec per benchmark, the same for B/op and
+# allocs/op where reported, and the host's fingerprint) by
+# renuca-benchjson; raise
 # BENCHCOUNT for a meaningful median (e.g. `make bench BENCHCOUNT=5`).
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 bench:
 	$(GO) build -o /tmp/renuca-benchjson ./cmd/renuca-benchjson
 	$(GO) test -run='^$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) \
-		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
-		./internal/cache ./internal/tlb ./internal/coherence ./internal/nuca ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
+		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkCPT|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
+		./internal/cache ./internal/tlb ./internal/coherence ./internal/predictor ./internal/nuca ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
 	/tmp/renuca-benchjson -o BENCH.json < /tmp/renuca-bench.txt
 
 # Snapshot the current BENCH.json into the per-PR history as BENCH_$(N).json

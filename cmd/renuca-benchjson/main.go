@@ -5,7 +5,9 @@
 // document with the median ns/op and derived ops/sec for every benchmark
 // seen, plus the median B/op and allocs/op where the lines report them —
 // medians because with -count>1 the repeated lines of one benchmark fold
-// into a single robust figure.
+// into a single robust figure. Each median is recorded with the min and max
+// of its samples, and the document carries a fingerprint of the host that
+// produced it (CPU model, CPU count, GOMAXPROCS, Go version).
 //
 // Usage:
 //
@@ -24,8 +26,10 @@
 // dropped more than -max-drop-pct percent below -baseline. A baseline that
 // does not yet contain the guarded benchmark warns and passes (so adding a
 // new benchmark cannot fail the commit that introduces it); a current
-// summary missing it fails (the benchmark silently vanished). When
-// -baseline is given, stdin is not read.
+// summary missing it fails (the benchmark silently vanished). Two
+// summaries whose host fingerprints differ, or either of which has none,
+// are not compared: the guard exits 2, because a gap between two hosts says
+// nothing about the code. When -baseline is given, stdin is not read.
 package main
 
 import (
@@ -36,6 +40,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,30 +61,75 @@ type Entry struct {
 	// Samples is how many result lines (runs) were folded; -count=N yields
 	// N samples per benchmark.
 	Samples int `json:"samples"`
-	// MedianNsPerOp is the median ns/op over the samples.
+	// MedianNsPerOp is the median ns/op over the samples, and MinNsPerOp
+	// and MaxNsPerOp their extremes.
 	MedianNsPerOp float64 `json:"median_ns_per_op"`
+	MinNsPerOp    float64 `json:"min_ns_per_op"`
+	MaxNsPerOp    float64 `json:"max_ns_per_op"`
 	// PerSec is 1e9 / MedianNsPerOp — operations per second; for the
 	// whole-simulation benchmarks, simulations per second.
 	PerSec float64 `json:"per_sec"`
-	// MedianBytesPerOp and MedianAllocsPerOp are the medians of the B/op
-	// and allocs/op columns over the samples that carry them, absent when
-	// none does. They are pointers so a measured 0 is still recorded.
+	// The B/op and allocs/op columns' median, min and max over the
+	// samples that carry them, absent when none does. They are pointers
+	// so a measured 0 is still recorded.
 	MedianBytesPerOp  *float64 `json:"median_bytes_per_op,omitempty"`
+	MinBytesPerOp     *float64 `json:"min_bytes_per_op,omitempty"`
+	MaxBytesPerOp     *float64 `json:"max_bytes_per_op,omitempty"`
 	MedianAllocsPerOp *float64 `json:"median_allocs_per_op,omitempty"`
+	MinAllocsPerOp    *float64 `json:"min_allocs_per_op,omitempty"`
+	MaxAllocsPerOp    *float64 `json:"max_allocs_per_op,omitempty"`
 }
 
-// Doc is the written BENCH.json shape.
+// Host fingerprints the machine and toolchain a summary came from.
+type Host struct {
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// Doc is the written BENCH.json shape. Host is absent from summaries
+// written before fingerprints were recorded.
 type Doc struct {
+	Host       *Host   `json:"host,omitempty"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
-func median(xs []float64) float64 {
+// fingerprint describes this host. The summarizer runs on the host and
+// toolchain that ran the benchmarks it reads (make bench pipes one into
+// the other), so this is their fingerprint too.
+func fingerprint() *Host {
+	return &Host{
+		CPUModel:   cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// spread returns the median, min and max of xs, which it sorts.
+func spread(xs []float64) (med, lo, hi float64) {
 	sort.Float64s(xs)
 	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
+	med = xs[n/2]
+	if n%2 == 0 {
+		med = (xs[n/2-1] + xs[n/2]) / 2
 	}
-	return (xs[n/2-1] + xs[n/2]) / 2
+	return med, xs[0], xs[n-1]
 }
 
 // summarize copies the bench log in r to w line by line and folds its
@@ -120,19 +170,22 @@ func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
 	entries := make([]Entry, 0, len(order))
 	for _, name := range order {
 		col := samples[name]
-		med := median(col.ns)
+		med, lo, hi := spread(col.ns)
 		perSec := 0.0
 		if med > 0 {
 			perSec = 1e9 / med
 		}
-		entries = append(entries, Entry{
-			Name:              name,
-			Samples:           len(col.ns),
-			MedianNsPerOp:     med,
-			PerSec:            perSec,
-			MedianBytesPerOp:  medianOrNil(col.bytes),
-			MedianAllocsPerOp: medianOrNil(col.allocs),
-		})
+		e := Entry{
+			Name:          name,
+			Samples:       len(col.ns),
+			MedianNsPerOp: med,
+			MinNsPerOp:    lo,
+			MaxNsPerOp:    hi,
+			PerSec:        perSec,
+		}
+		e.MedianBytesPerOp, e.MinBytesPerOp, e.MaxBytesPerOp = spreadOrNil(col.bytes)
+		e.MedianAllocsPerOp, e.MinAllocsPerOp, e.MaxAllocsPerOp = spreadOrNil(col.allocs)
+		entries = append(entries, e)
 	}
 	return entries, nil
 }
@@ -147,12 +200,13 @@ func appendColumn(xs []float64, re *regexp.Regexp, line string) []float64 {
 	return xs
 }
 
-func medianOrNil(xs []float64) *float64 {
+// spreadOrNil is spread for an optional column: all nil when it is empty.
+func spreadOrNil(xs []float64) (med, lo, hi *float64) {
 	if len(xs) == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	m := median(xs)
-	return &m
+	m, l, h := spread(xs)
+	return &m, &l, &h
 }
 
 // loadDoc reads and decodes one summary file.
@@ -200,6 +254,11 @@ func runGuard(w io.Writer, baselinePath, currentPath, guard string, maxDropPct f
 		fmt.Fprintln(w, "renuca-benchjson: current:", err)
 		return 1
 	}
+	if base.Host == nil || cur.Host == nil || *base.Host != *cur.Host {
+		fmt.Fprintf(w, "renuca-benchjson: guard refused: host fingerprints differ (baseline %s, current %s); compare summaries from one host\n",
+			describeHost(base.Host), describeHost(cur.Host))
+		return 2
+	}
 	curPS, ok := perSecOf(cur, guard)
 	if !ok {
 		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s missing from %s\n", guard, currentPath)
@@ -227,6 +286,14 @@ func runGuard(w io.Writer, baselinePath, currentPath, guard string, maxDropPct f
 	return 0
 }
 
+// describeHost renders a fingerprint for the guard's refusal message.
+func describeHost(h *Host) string {
+	if h == nil {
+		return "none recorded"
+	}
+	return fmt.Sprintf("%q nproc=%d GOMAXPROCS=%d %s", h.CPUModel, h.NProc, h.GOMAXPROCS, h.GoVersion)
+}
+
 func main() {
 	out := flag.String("o", "BENCH.json", "output path for the JSON summary")
 	baseline := flag.String("baseline", "", "baseline summary for compare mode (skips stdin parsing)")
@@ -246,7 +313,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)
 		os.Exit(1)
 	}
-	doc := Doc{Benchmarks: entries}
+	doc := Doc{Host: fingerprint(), Benchmarks: entries}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)

@@ -9,10 +9,22 @@ import (
 	"testing"
 )
 
-// writeDoc marshals a summary document into dir and returns its path.
+// testHost is the fingerprint writeDoc stamps on every summary.
+var testHost = Host{CPUModel: "Test CPU @ 2.0GHz", NProc: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+
+// writeDoc marshals a summary document measured on testHost into dir and
+// returns its path.
 func writeDoc(t *testing.T, dir, name string, benchmarks []Entry) string {
 	t.Helper()
-	b, err := json.Marshal(Doc{Benchmarks: benchmarks})
+	h := testHost
+	return writeDocOn(t, dir, name, &h, benchmarks)
+}
+
+// writeDocOn is writeDoc for a summary measured on host h (nil: none
+// recorded).
+func writeDocOn(t *testing.T, dir, name string, h *Host, benchmarks []Entry) string {
+	t.Helper()
+	b, err := json.Marshal(Doc{Host: h, Benchmarks: benchmarks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +68,22 @@ func TestSummarizeMemoryColumns(t *testing.T) {
 			t.Errorf("%s: median_allocs_per_op %v, want %v", e.Name, e.MedianAllocsPerOp, wantAllocs)
 		}
 	}
-	if e := entries[0]; e.Name != "BenchmarkNewSystem" || e.Samples != 3 || e.MedianNsPerOp != 7500000 {
+	if e := entries[0]; e.Name != "BenchmarkNewSystem" || e.Samples != 3 || e.MedianNsPerOp != 7500000 ||
+		e.MinNsPerOp != 7300000 || e.MaxNsPerOp != 7900000 {
 		t.Errorf("NewSystem entry %+v", e)
 	}
 	check(entries[0], 8150008, 216)
+	if e := entries[0]; *e.MinBytesPerOp != 8150000 || *e.MaxBytesPerOp != 8150016 ||
+		*e.MinAllocsPerOp != 215 || *e.MaxAllocsPerOp != 217 {
+		t.Errorf("NewSystem memory extremes: bytes %v..%v allocs %v..%v",
+			*e.MinBytesPerOp, *e.MaxBytesPerOp, *e.MinAllocsPerOp, *e.MaxAllocsPerOp)
+	}
+	if e := entries[1]; e.MinNsPerOp != 55.5 || e.MaxNsPerOp != 55.5 || *e.MinAllocsPerOp != 0 || *e.MaxAllocsPerOp != 0 {
+		t.Errorf("single-sample extremes must equal the median: %+v", e)
+	}
 	check(entries[1], 0, 0)
 	lint := entries[2]
-	if lint.MedianBytesPerOp != nil || lint.MedianAllocsPerOp != nil {
+	if lint.MedianBytesPerOp != nil || lint.MedianAllocsPerOp != nil || lint.MinBytesPerOp != nil || lint.MaxAllocsPerOp != nil {
 		t.Errorf("%s has no memory columns but got %+v", lint.Name, lint)
 	}
 	b, err := json.Marshal(lint)
@@ -167,4 +188,63 @@ func TestRunGuard(t *testing.T) {
 			t.Fatalf("missing -current/-guard returned %d, want 2", code)
 		}
 	})
+}
+
+// TestFingerprint: the summary's host fingerprint names this machine and
+// toolchain.
+func TestFingerprint(t *testing.T) {
+	h := fingerprint()
+	if h.CPUModel == "" || h.NProc < 1 || h.GOMAXPROCS < 1 || !strings.HasPrefix(h.GoVersion, "go") {
+		t.Errorf("incomplete fingerprint %+v", *h)
+	}
+	b, err := json.Marshal(Doc{Host: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"cpu_model"`, `"nproc"`, `"gomaxprocs"`, `"go_version"`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("serialised fingerprint %s lacks %s", b, key)
+		}
+	}
+}
+
+// TestRunGuardRefusesOtherHost: the guard compares only summaries from one
+// host. Any fingerprint difference, or a summary with no fingerprint,
+// exits 2 without judging the figures, even a collapse.
+func TestRunGuardRefusesOtherHost(t *testing.T) {
+	const guard = "BenchmarkSuiteThroughput/pool"
+	dir := t.TempDir()
+	base := writeDoc(t, dir, "base.json", []Entry{{Name: guard, PerSec: 1.0}})
+	collapse := []Entry{{Name: guard, PerSec: 0.01}}
+	other := func(mod func(*Host)) *Host {
+		h := testHost
+		mod(&h)
+		return &h
+	}
+	for _, tc := range []struct {
+		name     string
+		baseline string
+		current  *Host
+		wantMsg  string
+	}{
+		{"cpu model", base, other(func(h *Host) { h.CPUModel = "Other CPU" }), "Other CPU"},
+		{"nproc", base, other(func(h *Host) { h.NProc = 4 }), "nproc=4"},
+		{"gomaxprocs", base, other(func(h *Host) { h.GOMAXPROCS = 1 }), "GOMAXPROCS=1"},
+		{"go version", base, other(func(h *Host) { h.GoVersion = "go1.22.0" }), "go1.22.0"},
+		{"current unfingerprinted", base, nil, "current none recorded"},
+		{"baseline unfingerprinted", writeDocOn(t, dir, "old.json", nil, []Entry{{Name: guard, PerSec: 1.0}}), &testHost, "baseline none recorded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := writeDocOn(t, dir, "cur.json", tc.current, collapse)
+			var out strings.Builder
+			if code := runGuard(&out, tc.baseline, cur, guard, 10); code != 2 {
+				t.Fatalf("exit code %d, want 2 (output: %s)", code, out.String())
+			}
+			for _, want := range []string{"host fingerprints differ", tc.wantMsg} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output %q does not contain %q", out.String(), want)
+				}
+			}
+		})
+	}
 }

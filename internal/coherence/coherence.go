@@ -59,20 +59,11 @@ type Stats struct {
 	Shootdowns      uint64 // inclusive back-invalidations from LLC evictions
 }
 
-// lineState packs one tracked line into 16 bytes so the directory map
-// stores values directly — no per-line pointer allocation, no pointer
-// chase on lookup, and deleted slots are reused without touching the heap.
-type lineState struct {
-	sharers uint64 // bitmask of cores with a copy
-	owner   int8   // valid for E/M (numCores <= 64 fits)
-	state   State
-}
-
 // Directory is the MESI directory. It supports up to 64 cores (bitmask
-// sharers). Not safe for concurrent use.
+// sharers) and line addresses below 2^62. Not safe for concurrent use.
 type Directory struct {
 	numCores int
-	lines    map[uint64]lineState // line address -> state
+	lines    lineTable // line address -> state and sharers
 	stats    Stats
 }
 
@@ -81,7 +72,7 @@ func NewDirectory(numCores int) (*Directory, error) {
 	if numCores <= 0 || numCores > 64 {
 		return nil, fmt.Errorf("coherence: core count %d out of [1,64]", numCores)
 	}
-	return &Directory{numCores: numCores, lines: make(map[uint64]lineState)}, nil
+	return &Directory{numCores: numCores, lines: newLineTable()}, nil
 }
 
 // MustNewDirectory is NewDirectory that panics on error.
@@ -101,21 +92,22 @@ func (d *Directory) ResetStats() { d.stats = Stats{} }
 
 // StateOf returns the directory state for a line (Invalid when untracked).
 func (d *Directory) StateOf(addr uint64) State {
-	if ls, ok := d.lines[addr]; ok {
-		return ls.state
+	if i, ok := d.lines.find(addr); ok {
+		return d.lines.slots[i].state()
 	}
 	return Invalid
 }
 
 // Sharers returns the cores holding a copy of addr.
 func (d *Directory) Sharers(addr uint64) []int {
-	ls, ok := d.lines[addr]
+	i, ok := d.lines.find(addr)
 	if !ok {
 		return nil
 	}
+	sharers := d.lines.slots[i].sharers
 	var out []int
 	for c := 0; c < d.numCores; c++ {
-		if ls.sharers&(1<<uint(c)) != 0 {
+		if sharers&(1<<uint(c)) != 0 {
 			out = append(out, c)
 		}
 	}
@@ -132,36 +124,28 @@ func (d *Directory) ReadAcquire(addr uint64, core int) (downgraded uint64, dirty
 	d.checkCore(core)
 	d.sanCheckLine(addr)
 	d.stats.ReadMisses++
-	ls, ok := d.lines[addr]
+	i, ok := d.lines.find(addr)
 	if !ok {
 		// First reader gets Exclusive (the E optimisation of MESI).
-		d.lines[addr] = lineState{state: Exclusive, sharers: 1 << uint(core), owner: int8(core)}
+		d.lines.insert(i, addr, Exclusive, 1<<uint(core))
 		d.sanCheckTransition(addr, Invalid)
 		return 0, false
 	}
-	prev := ls.state
-	switch ls.state {
+	ls := &d.lines.slots[i]
+	prev := ls.state()
+	switch prev {
 	case Modified:
 		dirtyWB = true
 		d.stats.DirtyWritebacks++
 		fallthrough
 	case Exclusive:
-		if int(ls.owner) != core {
-			downgraded = 1 << uint(ls.owner)
+		if owner := ls.owner(); owner != core {
+			downgraded = 1 << uint(owner)
 			d.stats.Downgrades++
 		}
-		ls.state = Shared
-	case Shared:
-		// Nothing to do.
-	case Invalid:
-		ls.state = Exclusive
-		ls.owner = int8(core)
 	}
-	ls.sharers |= 1 << uint(core)
-	if ls.state == Exclusive {
-		ls.owner = int8(core)
-	}
-	d.lines[addr] = ls
+	// A tracked line is never Invalid, so every outcome is Shared.
+	*ls = slot{key: addr | uint64(Shared)<<stateShift, sharers: ls.sharers | 1<<uint(core)}
 	d.sanCheckTransition(addr, prev)
 	return downgraded, dirtyWB
 }
@@ -175,23 +159,21 @@ func (d *Directory) WriteAcquire(addr uint64, core int) (invalidated uint64, dir
 	d.checkCore(core)
 	d.sanCheckLine(addr)
 	d.stats.WriteMisses++
-	ls, ok := d.lines[addr]
+	i, ok := d.lines.find(addr)
 	if !ok {
-		d.lines[addr] = lineState{state: Modified, sharers: 1 << uint(core), owner: int8(core)}
+		d.lines.insert(i, addr, Modified, 1<<uint(core))
 		d.sanCheckTransition(addr, Invalid)
 		return 0, false
 	}
-	prev := ls.state
-	if ls.state == Modified && int(ls.owner) != core {
+	ls := &d.lines.slots[i]
+	prev := ls.state()
+	if prev == Modified && ls.owner() != core {
 		dirtyWB = true
 		d.stats.DirtyWritebacks++
 	}
 	invalidated = ls.sharers &^ (1 << uint(core))
 	d.stats.Invalidations += uint64(popcount(invalidated))
-	ls.state = Modified
-	ls.sharers = 1 << uint(core)
-	ls.owner = int8(core)
-	d.lines[addr] = ls
+	*ls = slot{key: addr | uint64(Modified)<<stateShift, sharers: 1 << uint(core)}
 	d.sanCheckTransition(addr, prev)
 	return invalidated, dirtyWB
 }
@@ -204,22 +186,17 @@ func (d *Directory) WriteAcquire(addr uint64, core int) (invalidated uint64, dir
 func (d *Directory) Release(addr uint64, core int, dirty bool) {
 	d.checkCore(core)
 	d.sanCheckLine(addr)
-	ls, ok := d.lines[addr]
+	i, ok := d.lines.find(addr)
 	if !ok {
 		return
 	}
-	prev := ls.state
-	ls.sharers &^= 1 << uint(core)
-	if ls.sharers == 0 {
-		delete(d.lines, addr)
-		d.sanCheckTransition(addr, prev)
-		return
+	ls := &d.lines.slots[i]
+	prev := ls.state()
+	if ls.sharers &^= 1 << uint(core); ls.sharers == 0 {
+		d.lines.remove(i)
 	}
-	if (ls.state == Modified || ls.state == Exclusive) && int(ls.owner) == core {
-		// Remaining copies (if any) are read-only.
-		ls.state = Shared
-	}
-	d.lines[addr] = ls
+	// An E/M line's one sharer is its owner, so releasing the owner's copy
+	// untracks the line and any other core's release leaves it unchanged.
 	d.sanCheckTransition(addr, prev)
 	_ = dirty // dirtiness is the caller's write-back concern; tracked in stats by Shootdown/Acquire paths
 }
@@ -232,25 +209,26 @@ func (d *Directory) Release(addr uint64, core int, dirty bool) {
 //lint:hotpath
 func (d *Directory) Shootdown(addr uint64) (holders uint64, dirty bool) {
 	d.sanCheckLine(addr)
-	ls, ok := d.lines[addr]
+	i, ok := d.lines.find(addr)
 	if !ok {
 		return 0, false
 	}
-	prev := ls.state
+	ls := d.lines.slots[i]
+	prev := ls.state()
 	holders = ls.sharers
 	d.stats.Invalidations += uint64(popcount(holders))
 	d.stats.Shootdowns++
-	dirty = ls.state == Modified
+	dirty = prev == Modified
 	if dirty {
 		d.stats.DirtyWritebacks++
 	}
-	delete(d.lines, addr)
+	d.lines.remove(i)
 	d.sanCheckTransition(addr, prev)
 	return holders, dirty
 }
 
 // TrackedLines returns how many lines the directory currently tracks.
-func (d *Directory) TrackedLines() int { return len(d.lines) }
+func (d *Directory) TrackedLines() int { return d.lines.n }
 
 func popcount(m uint64) int { return bits.OnesCount64(m) }
 

@@ -59,13 +59,10 @@ func (s Stats) Accuracy() float64 {
 }
 
 // entry is packed to 16 bytes: key holds the load PC plus one, so the zero
-// value is an empty entry and a freshly allocated table is empty
-// (generated PCs are word-aligned, so pc+1 never wraps), which makes the
-// hot-path tag check a single compare, and both counters share one word —
-// robBlock in the high half, numLoads in the low half. 16-byte entries
-// pack four to a cache line with none straddling, which matters because
-// the table is probed at a hash-scattered index twice per load (issue and
-// commit). Each counter saturates at 2^32-1 instead of carrying into its
+// value is an empty entry (generated PCs are word-aligned, so pc+1 never
+// wraps), which makes the hot-path tag check a single compare, and both
+// counters share one word — robBlock in the high half, numLoads in the low
+// half. Each counter saturates at 2^32-1 instead of carrying into its
 // neighbour; one PC would need four billion dynamic loads in a single run
 // to get there, three orders of magnitude beyond the largest sweep.
 type entry struct {
@@ -83,10 +80,20 @@ const (
 
 // CPT is the Criticality Predictor Table. Each core owns one; it is not
 // safe for concurrent use.
+//
+// The table is direct-mapped over Entries hash-scattered indices, but a
+// core's loads come from at most a few hundred static PCs, so most indices
+// are never used. Each index therefore holds a 4-byte position in a dense
+// entry store that grows in first-use order; position 0 is a permanently
+// empty entry that every unused index points at, so a probe of an unused
+// index reads as a tag miss with no extra branch. An index keeps its
+// position for life: a conflicting insert overwrites that entry in place,
+// so the store never holds more than Entries+1 entries.
 type CPT struct {
 	cfg     Config
 	mask    uint64
-	entries []entry
+	index   []uint32 // table index -> position in entries; 0 = never used
+	entries []entry  // entries[0] is the empty entry
 	stats   Stats
 
 	// intThresh holds ThresholdPct when it is exactly integral (every
@@ -106,7 +113,8 @@ func New(cfg Config) (*CPT, error) {
 	c := &CPT{
 		cfg:     cfg,
 		mask:    uint64(cfg.Entries - 1),
-		entries: make([]entry, cfg.Entries),
+		index:   make([]uint32, cfg.Entries),
+		entries: make([]entry, 1, 1+min(cfg.Entries, initialEntries)),
 	}
 	if t := math.Trunc(cfg.ThresholdPct); t == cfg.ThresholdPct {
 		c.intThresh = uint64(t)
@@ -132,10 +140,21 @@ func (c *CPT) Stats() Stats { return c.stats }
 // ResetStats zeroes the quality counters but keeps the learned table.
 func (c *CPT) ResetStats() { c.stats = Stats{} }
 
-func (c *CPT) index(pc uint64) *entry {
+// initialEntries is the entry store's starting capacity: enough for the
+// static load PCs of any Table II app, so a run appends without growing.
+const initialEntries = 128
+
+// slot returns the table index pc maps to.
+func (c *CPT) slot(pc uint64) uint64 {
 	// Mix the PC so nearby instruction addresses spread across the table.
 	h := pc * 0x9e3779b97f4a7c15
-	return &c.entries[(h>>16)&c.mask]
+	return (h >> 16) & c.mask
+}
+
+// probe returns the entry at pc's table index: the empty entry when the
+// index was never used.
+func (c *CPT) probe(pc uint64) *entry {
+	return &c.entries[c.index[c.slot(pc)]]
 }
 
 // Predict returns the criticality prediction for a load at pc (step 1 of
@@ -143,15 +162,17 @@ func (c *CPT) index(pc uint64) *entry {
 // non-critical: the paper's first-touch presumption prioritises lifetime
 // over performance.
 func (c *CPT) Predict(pc uint64) bool {
-	return c.predict(c.index(pc), pc)
+	return c.predict(c.probe(pc), pc)
 }
 
 // Issue is the issue-time probe of a load at pc: it returns Predict's
 // prediction and then bumps numLoadsCount for an existing entry (steps 1
 // of Figure 6b and 2 of Figure 6a), hashing into the table once for both.
 // Issues from unknown PCs leave the table unchanged until commit.
+//
+//lint:hotpath
 func (c *CPT) Issue(pc uint64) bool {
-	e := c.index(pc)
+	e := c.probe(pc)
 	critical := c.predict(e, pc)
 	if e.key == pc+1 && e.counts&countMask != countMask {
 		e.counts++
@@ -184,8 +205,10 @@ func (c *CPT) predict(e *entry, pc uint64) bool {
 
 // OnROBBlock bumps robBlockCount when the load at pc blocks the ROB head
 // (step 3 of Figure 6a).
+//
+//lint:hotpath
 func (c *CPT) OnROBBlock(pc uint64) {
-	e := c.index(pc)
+	e := c.probe(pc)
 	if e.key == pc+1 && e.counts>>countShift != countMask {
 		e.counts += 1 << countShift
 	}
@@ -196,6 +219,8 @@ func (c *CPT) OnROBBlock(pc uint64) {
 // blocked the head (Section IV-B). predicted is the Predict result from
 // issue time; blocked is the ground truth. Prediction quality is recorded
 // here.
+//
+//lint:hotpath
 func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 	if predicted == blocked {
 		c.stats.Correct++
@@ -213,7 +238,8 @@ func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 		c.stats.TrueNegative++
 	}
 
-	e := c.index(pc)
+	i := c.slot(pc)
+	e := &c.entries[c.index[i]]
 	if e.key == pc+1 {
 		return
 	}
@@ -225,12 +251,19 @@ func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 	if blocked {
 		rb = 1
 	}
-	*e = entry{key: pc + 1, counts: rb<<countShift | 1}
+	fresh := entry{key: pc + 1, counts: rb<<countShift | 1}
+	if c.index[i] == 0 {
+		c.index[i] = uint32(len(c.entries))
+		//lint:allow allocfree bounded: one append per table index ever used, so at most Entries in a lifetime, and none while the PCs fit initialEntries
+		c.entries = append(c.entries, fresh)
+		return
+	}
+	*e = fresh
 }
 
 // Lookup exposes an entry's counters for tests and diagnostics.
 func (c *CPT) Lookup(pc uint64) (numLoads, robBlock uint64, ok bool) {
-	e := c.index(pc)
+	e := c.probe(pc)
 	if e.key == pc+1 {
 		return e.numLoads(), e.robBlock(), true
 	}

@@ -183,7 +183,7 @@ func TestIssueIsPredictThenBump(t *testing.T) {
 		pc := (state >> 40 % 48) * 4 // 48 PCs over 16 entries: conflicts too
 		blocked := state>>20%7 == 0
 		want := split.Predict(pc)
-		if e := split.index(pc); e.key == pc+1 && e.counts&countMask != countMask {
+		if e := split.probe(pc); e.key == pc+1 && e.counts&countMask != countMask {
 			e.counts++
 		}
 		if got := fused.Issue(pc); got != want {
@@ -199,9 +199,9 @@ func TestIssueIsPredictThenBump(t *testing.T) {
 	if fused.Stats() != split.Stats() {
 		t.Errorf("stats diverge: %+v vs %+v", fused.Stats(), split.Stats())
 	}
-	for i := range fused.entries {
-		if fused.entries[i] != split.entries[i] {
-			t.Fatalf("entry %d diverges: %+v vs %+v", i, fused.entries[i], split.entries[i])
+	for i := range fused.index {
+		if f, s := fused.entries[fused.index[i]], split.entries[split.index[i]]; f != s {
+			t.Fatalf("entry %d diverges: %+v vs %+v", i, f, s)
 		}
 	}
 }
