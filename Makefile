@@ -61,8 +61,8 @@ BENCHCOUNT ?= 1
 bench:
 	$(GO) build -o /tmp/renuca-benchjson ./cmd/renuca-benchjson
 	$(GO) test -run='^$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) \
-		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkCPT|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
-		./internal/cache ./internal/tlb ./internal/coherence ./internal/predictor ./internal/nuca ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
+		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkCPT|BenchmarkLLCAccess|BenchmarkBankService|BenchmarkCoreTick|BenchmarkTraceNext|BenchmarkMeshTraverse|BenchmarkDRAMAccess|BenchmarkWalk|BenchmarkNewSystem|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
+		./internal/cache ./internal/tlb ./internal/coherence ./internal/predictor ./internal/nuca ./internal/cpu ./internal/trace ./internal/noc ./internal/dram ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
 	/tmp/renuca-benchjson -o BENCH.json < /tmp/renuca-bench.txt
 
 # Snapshot the current BENCH.json into the per-PR history as BENCH_$(N).json

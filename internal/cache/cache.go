@@ -4,7 +4,10 @@
 // hit/miss/eviction accounting; timing is composed by the simulator on top.
 package cache
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Config sizes a cache. Sets must come out a power of two.
 type Config struct {
@@ -45,35 +48,31 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// way is one line frame, packed to 8 bytes so an 8-way set fills one CPU
-// cache line and a 16-way set two. Zero means empty in both fields, so a
-// freshly allocated (or cleared) frame array is an empty cache:
-//   - tag stores the line tag plus one, and 0 marks an empty frame. The
+// A line frame is split across two parallel arrays, 5 bytes in all, and
+// zero means empty in both, so a freshly allocated (or cleared) frame array
+// is an empty cache:
+//   - tags[i] stores the line tag plus one, and 0 marks an empty frame. The
 //     bias costs one value, so a tag may be at most MaxTagBits wide
 //     (CheckTagWidth validates a geometry against an address width);
-//   - meta holds lru<<1 | dirty, where lru is a stamp of the cache's 30-bit
-//     LRU clock (see stamp). An empty frame carries meta 0.
-type way struct {
-	tag  uint32
-	meta uint32
-}
-
+//   - meta[i] holds dirty<<7 | rank, where rank is the frame's recency
+//     order among its set's valid frames: 0 is the least recent, k-1 the
+//     most recent of k. An empty frame carries meta 0.
 const (
-	wayDirty = 1 << 0
-	lruShift = 1
+	metaDirty = 1 << 7
+	rankMask  = metaDirty - 1
 
-	// clockMax is the largest LRU stamp; the touch that would pass it
-	// renormalises the cache's stamps first.
-	clockMax = 1<<30 - 1
+	// maxWays is the most ways the 7 rank bits of a frame's meta byte can
+	// order.
+	maxWays = rankMask + 1
+
+	// lowBytes has the low bit of every byte set: multiplying a byte by it
+	// repeats the byte in all eight lanes of a word.
+	lowBytes = 0x0101010101010101
 
 	// MaxTagBits is the widest line tag a frame can store: tag+1 must fit
 	// the 32-bit tag field.
 	MaxTagBits = 31
 )
-
-func (w way) valid() bool { return w.tag != 0 }
-func (w way) dirty() bool { return w.meta&wayDirty != 0 }
-func (w way) lru() uint32 { return w.meta >> lruShift }
 
 // Victim describes a line displaced by Fill or removed by Invalidate.
 type Victim struct {
@@ -88,13 +87,13 @@ type Victim struct {
 // worker goroutine (concurrent sweeps run disjoint Systems).
 type Cache struct {
 	cfg      Config
-	sets     []way // flattened [numSets][ways]
+	tags     []uint32 // flattened [numSets][ways]: line tag+1, 0 = empty
+	meta     []uint8  // parallel to tags: dirty<<7 | recency rank
 	numSets  uint64
 	setMask  uint64
 	setBits  uint   // log2(numSets), precomputed off the probe path
 	ways     uint64 // uint64(cfg.Ways), hoisted off the probe path
 	lineBits uint
-	tick     uint32 // LRU clock: the newest stamp handed out, at most clockMax
 	stats    Stats
 	san      sanState // occupancy-conservation counters; zero-size without the simcheck tag
 }
@@ -112,8 +111,8 @@ func resolve(cfg Config) (geometry, error) {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return g, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
-	if cfg.Ways <= 0 {
-		return g, fmt.Errorf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways)
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
+		return g, fmt.Errorf("cache %s: ways %d outside 1..%d", cfg.Name, cfg.Ways, maxWays)
 	}
 	g.lines = cfg.SizeBytes / cfg.LineBytes
 	if g.lines == 0 || cfg.SizeBytes%cfg.LineBytes != 0 {
@@ -158,7 +157,8 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     make([]way, g.lines),
+		tags:     make([]uint32, g.lines),
+		meta:     make([]uint8, g.lines),
 		numSets:  g.numSets,
 		setMask:  g.numSets - 1,
 		setBits:  uint(bitsFor(g.numSets)),
@@ -189,7 +189,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) NumSets() uint64 { return c.numSets }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() uint64 { return uint64(len(c.sets)) }
+func (c *Cache) Lines() uint64 { return uint64(len(c.tags)) }
 
 // SetIndex returns the set index addr maps to (exported for the intra-bank
 // wear-leveling extension, which remaps sets).
@@ -198,7 +198,7 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 }
 
 // locate returns the first frame of addr's set and the tag a frame holding
-// addr stores (line tag plus one; see way).
+// addr stores (line tag plus one; see tags).
 func (c *Cache) locate(addr uint64) (setBase uint64, tag uint32) {
 	lineAddr := addr >> c.lineBits
 	lineTag := lineAddr >> c.setBits
@@ -213,49 +213,6 @@ func bitsFor(n uint64) int {
 		b++
 	}
 	return b
-}
-
-// stamp advances the LRU clock and returns the new stamp. When the clock
-// sits at clockMax it renormalises first, once per ~10^9 touches.
-//
-//lint:hotpath
-func (c *Cache) stamp() uint32 {
-	if c.tick == clockMax {
-		c.renormalise()
-	}
-	c.tick++
-	return c.tick
-}
-
-// renormalise rewrites every valid frame's LRU stamp to its rank within its
-// set (1 for the least recent of k valid ways, k for the most recent) and
-// sets the clock to the largest rank. This is exact: FillFrame only ever
-// compares stamps of ways in one set, ranks keep each set's order, and
-// every later stamp exceeds every rank.
-func (c *Cache) renormalise() {
-	ranks := make([]uint32, c.ways)
-	var top uint32
-	for base := uint64(0); base < uint64(len(c.sets)); base += c.ways {
-		set := c.sets[base : base+c.ways]
-		for i := range set {
-			ranks[i] = 0
-			if !set[i].valid() {
-				continue
-			}
-			for j := range set {
-				if set[j].valid() && set[j].lru() <= set[i].lru() {
-					ranks[i]++
-				}
-			}
-			top = max(top, ranks[i])
-		}
-		for i := range set {
-			if set[i].valid() {
-				set[i].meta = ranks[i]<<lruShift | set[i].meta&wayDirty
-			}
-		}
-	}
-	c.tick = top
 }
 
 // Lookup probes for addr. On a hit it updates recency, marks the line dirty
@@ -274,17 +231,26 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
 	setBase, tag := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			meta := c.stamp()<<lruShift | ways[i].meta&wayDirty
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	meta = meta[:len(tags)]
+	for i, t := range tags {
+		// Reading the meta byte ahead of the compare lets its load overlap
+		// the tag load, instead of waiting for the hit to be resolved.
+		m := meta[i]
+		if t == tag {
+			r := m & rankMask
+			if r < uint8(len(meta)-1) { // else already the most recent
+				r += demoteAbove(meta, r)
+			}
+			m = m&metaDirty | r
 			if write {
-				meta |= wayDirty
+				m |= metaDirty
 				c.stats.WriteHits++
 			} else {
 				c.stats.ReadHits++
 			}
-			ways[i].meta = meta
+			meta[i] = m
 			return true, setBase + uint64(i)
 		}
 	}
@@ -296,25 +262,59 @@ func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
 	return false, 0
 }
 
+// demoteAbove moves every frame of a set whose rank exceeds r down one rank
+// and returns how many moved. A hit on rank r then takes rank r+moved, the
+// top; an invalidation of rank r closes the gap it leaves. Empty frames
+// carry rank 0 and never move.
+//
+//lint:hotpath
+func demoteAbove(meta []uint8, r uint8) (moved uint8) {
+	bias := uint64(rankMask-r) * lowBytes
+	j := 0
+	for ; j+8 <= len(meta); j += 8 {
+		w, n := demoteLanes(binary.LittleEndian.Uint64(meta[j:]), bias)
+		binary.LittleEndian.PutUint64(meta[j:], w)
+		moved += n
+	}
+	if j+4 <= len(meta) {
+		w, n := demoteLanes(uint64(binary.LittleEndian.Uint32(meta[j:])), bias)
+		binary.LittleEndian.PutUint32(meta[j:], uint32(w))
+		moved += n
+		j += 4
+	}
+	for ; j < len(meta); j++ {
+		w, n := demoteLanes(uint64(meta[j]), bias)
+		meta[j] = uint8(w)
+		moved += n
+	}
+	return moved
+}
+
+// demoteLanes is demoteAbove on up to eight meta bytes packed in w, with
+// bias holding 127-r in every byte. Adding 127-r to a byte's rank carries
+// into the byte's top bit exactly when the rank exceeds r, and no sum (at
+// most 127+127) carries out of its byte; unused high bytes are zero and
+// never carry. Each marked byte then loses one, which a rank above 0 takes
+// without a borrow. It returns the new word and the number of marked bytes.
+func demoteLanes(w, bias uint64) (uint64, uint8) {
+	ones := ((w & (rankMask * lowBytes)) + bias) & (metaDirty * lowBytes) >> 7
+	return w - ones, uint8(ones * lowBytes >> 56) // byte sum: at most 8
+}
+
 // Peek reports whether addr is present without touching recency or stats.
 func (c *Cache) Peek(addr uint64) bool {
-	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	present, _ := c.PeekDirty(addr)
+	return present
 }
 
 // PeekDirty reports (present, dirty) without touching recency or stats.
 func (c *Cache) PeekDirty(addr uint64) (present, dirty bool) {
 	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			return true, ways[i].dirty()
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	for i, t := range tags {
+		if t == tag {
+			return true, meta[i]&metaDirty != 0
 		}
 	}
 	return false, false
@@ -330,45 +330,61 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 }
 
 // FillFrame is Fill, additionally returning the physical frame index the
-// line was installed into, for per-frame ReRAM wear accounting.
+// line was installed into, for per-frame ReRAM wear accounting. The line
+// takes the set's first empty way, or else evicts the least recent (rank
+// 0) line, and becomes the set's most recent.
 //
 //lint:hotpath
 func (c *Cache) FillFrame(addr uint64, dirty bool) (Victim, uint64) {
 	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	victimIdx := 0
-	for i := range ways {
-		if !ways[i].valid() {
-			victimIdx = i
-			goto install
-		}
-		// Stamps are unique within a set, so comparing whole meta words
-		// orders the ways by stamp whatever their dirty bits.
-		if ways[i].meta < ways[victimIdx].meta {
-			victimIdx = i
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	way := -1
+	for i, t := range tags {
+		if t == 0 {
+			way = i
+			break
 		}
 	}
-install:
 	v := Victim{}
-	if old := ways[victimIdx]; old.valid() {
+	var rank uint8
+	if way >= 0 {
+		// The line joins the set's k valid lines at rank k.
+		for _, t := range tags {
+			if t != 0 {
+				rank++
+			}
+		}
+	} else {
+		// Full set: evict rank 0. Every other line moves down one rank; the
+		// victim's byte wraps, harmlessly, since its frame is overwritten
+		// below.
+		var victim uint8
+		for i, m := range meta {
+			if m&rankMask == 0 {
+				way, victim = i, m
+			}
+			meta[i] = m - 1
+		}
 		v.Valid = true
-		v.Dirty = old.dirty()
+		v.Dirty = victim&metaDirty != 0
 		// The victim shares the incoming line's set, so its set index is the
 		// shift/mask form rather than setBase/ways (ways need not be pow2).
-		v.Addr = c.reconstruct(c.SetIndex(addr), uint64(old.tag-1))
+		v.Addr = c.reconstruct(c.SetIndex(addr), uint64(tags[way]-1))
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.DirtyEvicts++
 		}
+		rank = uint8(len(meta) - 1)
 	}
-	meta := c.stamp() << lruShift
+	m := rank
 	if dirty {
-		meta |= wayDirty
+		m |= metaDirty
 	}
-	ways[victimIdx] = way{tag: tag, meta: meta}
+	tags[way], meta[way] = tag, m
 	c.stats.Fills++
 	c.sanCheckFill(setBase, v.Valid)
-	return v, setBase + uint64(victimIdx)
+	return v, setBase + uint64(way)
 }
 
 // Invalidate removes addr if present and reports (present, wasDirty). Used
@@ -377,14 +393,16 @@ install:
 //lint:hotpath
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			d := ways[i].dirty()
-			ways[i] = way{}
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	for i, t := range tags {
+		if t == tag {
+			m := meta[i]
+			tags[i], meta[i] = 0, 0
+			demoteAbove(meta, m&rankMask)
 			c.stats.Invalidates++
 			c.sanCheckInvalidate(setBase, true)
-			return true, d
+			return true, m&metaDirty != 0
 		}
 	}
 	c.sanCheckInvalidate(setBase, false)
@@ -398,10 +416,11 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 func (c *Cache) CleanLine(addr uint64) {
 	setBase, tag := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			ways[i].meta &^= wayDirty
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	for i, t := range tags {
+		if t == tag {
+			meta[i] &^= metaDirty
 			return
 		}
 	}
@@ -415,8 +434,8 @@ func (c *Cache) reconstruct(set, lineTag uint64) uint64 {
 // Occupancy returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) Occupancy() uint64 {
 	var n uint64
-	for i := range c.sets {
-		if c.sets[i].valid() {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

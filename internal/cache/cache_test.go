@@ -1,9 +1,9 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func small() *Cache {
@@ -13,12 +13,13 @@ func small() *Cache {
 
 func TestNewRejectsBadGeometry(t *testing.T) {
 	bad := []Config{
-		{Name: "a", SizeBytes: 512, Ways: 2, LineBytes: 60},  // line not pow2
-		{Name: "b", SizeBytes: 500, Ways: 2, LineBytes: 64},  // size not multiple
-		{Name: "c", SizeBytes: 512, Ways: 0, LineBytes: 64},  // zero ways
-		{Name: "d", SizeBytes: 512, Ways: 3, LineBytes: 64},  // lines % ways != 0
-		{Name: "e", SizeBytes: 1152, Ways: 3, LineBytes: 64}, // 6 sets, not pow2
-		{Name: "f", SizeBytes: 0, Ways: 2, LineBytes: 64},    // zero size
+		{Name: "a", SizeBytes: 512, Ways: 2, LineBytes: 60},        // line not pow2
+		{Name: "b", SizeBytes: 500, Ways: 2, LineBytes: 64},        // size not multiple
+		{Name: "c", SizeBytes: 512, Ways: 0, LineBytes: 64},        // zero ways
+		{Name: "d", SizeBytes: 512, Ways: 3, LineBytes: 64},        // lines % ways != 0
+		{Name: "e", SizeBytes: 1152, Ways: 3, LineBytes: 64},       // 6 sets, not pow2
+		{Name: "f", SizeBytes: 0, Ways: 2, LineBytes: 64},          // zero size
+		{Name: "g", SizeBytes: 256 * 64, Ways: 256, LineBytes: 64}, // more ways than 7 rank bits order
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -27,11 +28,21 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestFrameSize pins the packed frame: at 8 bytes an 8-way set fills one
-// CPU cache line, and a Table I System's 524,288 LLC frames take 4 MiB.
+// TestFrameSize pins the frame at 5 bytes, a 4-byte tag and a 1-byte meta:
+// a Table I System's 524,288 LLC frames take 2.5 MiB. It measures what New
+// allocates for a 2 MiB LLC bank, whose 32,768 frames dwarf the Cache
+// header.
 func TestFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(way{}); n != 8 {
-		t.Errorf("cache frame is %d bytes, want 8", n)
+	cfg := Config{Name: "bank", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := MustNew(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	frames := c.Lines()
+	got := after.TotalAlloc - before.TotalAlloc
+	if got < 5*frames || got > 5*frames+1024 {
+		t.Errorf("New allocated %d bytes for %d frames, want 5 per frame (%d) plus a header", got, frames, 5*frames)
 	}
 }
 
@@ -182,6 +193,8 @@ func TestCheckTagWidth(t *testing.T) {
 		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 40, false},
 		// A bad geometry is reported whatever the width.
 		{Config{Name: "bad", SizeBytes: 64, Ways: 8, LineBytes: 64}, 8, false},
+		{Config{Name: "wide", SizeBytes: 128 * 64, Ways: 128, LineBytes: 64}, 8, true},
+		{Config{Name: "wider", SizeBytes: 256 * 64, Ways: 256, LineBytes: 64}, 8, false},
 	}
 	for _, tc := range cases {
 		if err := CheckTagWidth(tc.cfg, tc.addrBits); (err == nil) != tc.ok {
@@ -190,66 +203,164 @@ func TestCheckTagWidth(t *testing.T) {
 	}
 }
 
-// TestClockRenormalisationIsExact runs one random Lookup/Fill/Invalidate
-// stream through two caches: one whose LRU clock starts at 0 and never
-// renormalises within the run, and one whose clock is pushed to just
-// below clockMax at the start and every 1000 operations, so it
-// renormalises about a hundred times. Moving a clock forward is itself
-// exact (every later stamp still exceeds every stored one), so the two
-// must agree on every hit, frame, victim and dirty bit.
-func TestClockRenormalisationIsExact(t *testing.T) {
-	cfg := Config{Name: "twin", SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}
-	ref, wrapped := MustNew(cfg), MustNew(cfg)
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 33
+// refLRU is a reference LRU cache written for clarity, not speed: each set
+// keeps its frames and a recency list of way indices, least recent first.
+type refLRU struct {
+	ways  int
+	sets  [][]refFrame
+	order [][]int
+}
+
+type refFrame struct {
+	line         uint64 // line address (addr/64)
+	valid, dirty bool
+}
+
+func newRefLRU(sets, ways int) *refLRU {
+	r := &refLRU{ways: ways, sets: make([][]refFrame, sets), order: make([][]int, sets)}
+	for i := range r.sets {
+		r.sets[i] = make([]refFrame, ways)
 	}
-	const ops = 100_000
-	renorms, last := 0, uint32(0)
-	for i := 0; i < ops; i++ {
-		if wrapped.tick < last {
-			renorms++ // only renormalisation moves the clock back
-		}
-		if i%1000 == 0 {
-			if jump := clockMax - uint32(next()%64); jump > wrapped.tick {
-				wrapped.tick = jump
-			}
-		}
-		last = wrapped.tick
-		r := next()
-		addr := (r % 96) * 64 // 96 lines over a 32-line cache
-		switch (r >> 8) % 4 {
-		case 0, 1:
-			write := r>>10&1 == 1
-			h1, f1 := ref.LookupFrame(addr, write)
-			h2, f2 := wrapped.LookupFrame(addr, write)
-			if h1 != h2 || f1 != f2 {
-				t.Fatalf("op %d lookup %#x: (%v,%d) vs (%v,%d)", i, addr, h1, f1, h2, f2)
-			}
-		case 2:
-			if ref.Peek(addr) {
-				continue
-			}
-			dirty := r>>10&1 == 1
-			v1, f1 := ref.FillFrame(addr, dirty)
-			v2, f2 := wrapped.FillFrame(addr, dirty)
-			if v1 != v2 || f1 != f2 {
-				t.Fatalf("op %d fill %#x: victim %+v frame %d vs %+v frame %d", i, addr, v1, f1, v2, f2)
-			}
-		case 3:
-			p1, d1 := ref.Invalidate(addr)
-			p2, d2 := wrapped.Invalidate(addr)
-			if p1 != p2 || d1 != d2 {
-				t.Fatalf("op %d invalidate %#x: (%v,%v) vs (%v,%v)", i, addr, p1, d1, p2, d2)
-			}
+	return r
+}
+
+func (r *refLRU) find(line uint64) (set, way int) {
+	set = int(line % uint64(len(r.sets)))
+	for w, f := range r.sets[set] {
+		if f.valid && f.line == line {
+			return set, w
 		}
 	}
-	if renorms < 50 {
-		t.Errorf("only %d renormalisations exercised", renorms)
+	return set, -1
+}
+
+// touch moves way to the most recent end of set's recency list.
+func (r *refLRU) touch(set, way int) {
+	r.drop(set, way)
+	r.order[set] = append(r.order[set], way)
+}
+
+func (r *refLRU) drop(set, way int) {
+	o := r.order[set]
+	for i, w := range o {
+		if w == way {
+			r.order[set] = append(o[:i:i], o[i+1:]...)
+			return
+		}
 	}
-	if ref.Stats() != wrapped.Stats() {
-		t.Errorf("stats diverge: %+v vs %+v", ref.Stats(), wrapped.Stats())
+}
+
+func (r *refLRU) lookup(line uint64, write bool) (bool, uint64) {
+	set, way := r.find(line)
+	if way < 0 {
+		return false, 0
+	}
+	r.sets[set][way].dirty = r.sets[set][way].dirty || write
+	r.touch(set, way)
+	return true, uint64(set*r.ways + way)
+}
+
+func (r *refLRU) fill(line uint64, dirty bool) (Victim, uint64) {
+	set := int(line % uint64(len(r.sets)))
+	way := -1
+	for w, f := range r.sets[set] {
+		if !f.valid {
+			way = w
+			break
+		}
+	}
+	var v Victim
+	if way < 0 {
+		way = r.order[set][0]
+		old := r.sets[set][way]
+		v = Victim{Addr: old.line * 64, Valid: true, Dirty: old.dirty}
+	}
+	r.sets[set][way] = refFrame{line: line, valid: true, dirty: dirty}
+	r.touch(set, way)
+	return v, uint64(set*r.ways + way)
+}
+
+func (r *refLRU) invalidate(line uint64) (bool, bool) {
+	set, way := r.find(line)
+	if way < 0 {
+		return false, false
+	}
+	d := r.sets[set][way].dirty
+	r.sets[set][way] = refFrame{}
+	r.drop(set, way)
+	return true, d
+}
+
+// TestLRUMatchesReference runs one random Lookup, Fill, Invalidate,
+// CleanLine and Peek stream through a cache and through refLRU on 1-, 3-,
+// 4-, 8-, 12- and 16-way geometries, which between them take every path of
+// demoteAbove (8-, 4- and 1-byte steps). The per-set recency ranks must reproduce
+// the reference's every hit, frame, victim address and dirty bit.
+func TestLRUMatchesReference(t *testing.T) {
+	for _, ways := range []int{1, 3, 4, 8, 12, 16} {
+		const sets = 8
+		c := MustNew(Config{Name: "rank", SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64})
+		ref := newRefLRU(sets, ways)
+		state := uint64(0x9E3779B97F4A7C15) + uint64(ways)
+		next := func() uint64 {
+			state = state*6364136223846793005 + 1442695040888963407
+			return state >> 20
+		}
+		lines := uint64(3 * sets * ways) // three times the capacity
+		evictions := 0
+		for i := 0; i < 50_000; i++ {
+			r := next()
+			line := r % lines
+			addr := line*64 + r>>40%64 // any byte of the line
+			write := r>>12&1 == 1
+			switch op := r >> 8 % 8; op {
+			case 0, 1, 2:
+				h1, f1 := c.LookupFrame(addr, write)
+				h2, f2 := ref.lookup(line, write)
+				if h1 != h2 || f1 != f2 {
+					t.Fatalf("%d-way op %d lookup %#x: (%v,%d), reference (%v,%d)", ways, i, addr, h1, f1, h2, f2)
+				}
+			case 3, 4:
+				if _, w := ref.find(line); w >= 0 {
+					continue // Fill's precondition: the line is absent
+				}
+				v1, f1 := c.FillFrame(addr, write)
+				v2, f2 := ref.fill(line, write)
+				if v1 != v2 || f1 != f2 {
+					t.Fatalf("%d-way op %d fill %#x: victim %+v frame %d, reference %+v frame %d", ways, i, addr, v1, f1, v2, f2)
+				}
+				if v1.Valid {
+					evictions++
+				}
+			case 5:
+				p1, d1 := c.Invalidate(addr)
+				p2, d2 := ref.invalidate(line)
+				if p1 != p2 || d1 != d2 {
+					t.Fatalf("%d-way op %d invalidate %#x: (%v,%v), reference (%v,%v)", ways, i, addr, p1, d1, p2, d2)
+				}
+			case 6:
+				c.CleanLine(addr)
+				if set, w := ref.find(line); w >= 0 {
+					ref.sets[set][w].dirty = false
+				}
+			case 7:
+				p1, d1 := c.PeekDirty(addr)
+				set, w := ref.find(line)
+				if p1 != (w >= 0) || p1 && d1 != ref.sets[set][w].dirty || c.Peek(addr) != p1 {
+					t.Fatalf("%d-way op %d peek %#x: (%v,%v), reference present %v", ways, i, addr, p1, d1, w >= 0)
+				}
+			}
+		}
+		if evictions < 1000 {
+			t.Errorf("%d-way: only %d evictions exercised", ways, evictions)
+		}
+		var resident uint64
+		for _, o := range ref.order {
+			resident += uint64(len(o))
+		}
+		if occ := c.Occupancy(); occ != resident {
+			t.Errorf("%d-way: occupancy %d, reference %d", ways, occ, resident)
+		}
 	}
 }
 

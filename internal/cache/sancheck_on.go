@@ -30,32 +30,47 @@ func (c *Cache) sanCheckTag(addr, lineTag uint64) {
 
 // sanCheckSet validates the structural invariants of one set: an empty way
 // carries meta 0 (Invalidate must fully scrub the frame, leaving no stale
-// dirty bit or stamp), a valid way stores a line tag below 2^MaxTagBits
-// and a stamp in 1..tick, and no two valid ways in a set hold the same tag.
+// dirty bit or rank), a valid way stores a line tag below 2^MaxTagBits, no
+// two valid ways in a set hold the same tag, and the ranks of the set's k
+// valid ways are a permutation of 0..k-1 (a duplicated rank would make
+// two lines equally recent, a rank at or above k would leave a gap).
 func (c *Cache) sanCheckSet(setBase uint64) {
-	ways := c.sets[setBase : setBase+c.ways]
+	end := setBase + c.ways
+	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
 	set := setBase / c.ways
-	for i := range ways {
-		w := ways[i]
-		if !w.valid() {
-			if w.meta != 0 {
+	var k uint8
+	for _, t := range tags {
+		if t != 0 {
+			k++
+		}
+	}
+	var seen [maxWays / 64]uint64
+	for i, t := range tags {
+		if t == 0 {
+			if meta[i] != 0 {
 				sancheck.Failf("cache %s: set %d way %d is empty but carries meta %#x (frame not scrubbed)",
-					c.cfg.Name, set, i, w.meta)
+					c.cfg.Name, set, i, meta[i])
 			}
 			continue
 		}
-		if w.tag-1 >= 1<<MaxTagBits {
+		if t-1 >= 1<<MaxTagBits {
 			sancheck.Failf("cache %s: set %d way %d stores line tag %#x, wider than the %d bits a frame holds",
-				c.cfg.Name, set, i, w.tag-1, MaxTagBits)
+				c.cfg.Name, set, i, t-1, MaxTagBits)
 		}
-		if w.lru() == 0 || w.lru() > c.tick {
-			sancheck.Failf("cache %s: set %d way %d LRU stamp %d is outside the cache clock's 1..%d",
-				c.cfg.Name, set, i, w.lru(), c.tick)
+		r := meta[i] & rankMask
+		if r >= k {
+			sancheck.Failf("cache %s: set %d way %d has recency rank %d, outside the 0..%d its %d valid ways hold",
+				c.cfg.Name, set, i, r, k-1, k)
 		}
-		for j := i + 1; j < len(ways); j++ {
-			if ways[j].valid() && ways[j].tag == w.tag {
+		if seen[r/64]&(1<<(r%64)) != 0 {
+			sancheck.Failf("cache %s: recency rank %d duplicated in set %d (way %d)",
+				c.cfg.Name, r, set, i)
+		}
+		seen[r/64] |= 1 << (r % 64)
+		for j := i + 1; j < len(tags); j++ {
+			if tags[j] == t {
 				sancheck.Failf("cache %s: tag %#x duplicated in set %d (ways %d and %d)",
-					c.cfg.Name, w.tag, set, i, j)
+					c.cfg.Name, t, set, i, j)
 			}
 		}
 	}

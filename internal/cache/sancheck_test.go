@@ -35,21 +35,21 @@ func expectSanPanic(t *testing.T, what string, op func(), want ...string) {
 // touch, naming the cache, tag, and set.
 func TestSanitizerCatchesDuplicateTag(t *testing.T) {
 	c := MustNew(Config{Name: "L1-test", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
-	c.Fill(0, false)              // set 0, tag 0
-	c.Fill(4*64, false)           // set 0, tag 1
-	c.sets[1].tag = c.sets[0].tag // corrupt: duplicate tag in set 0
+	c.Fill(0, false)      // set 0, tag 0
+	c.Fill(4*64, false)   // set 0, tag 1
+	c.tags[1] = c.tags[0] // corrupt: duplicate tag in set 0
 	expectSanPanic(t, "the duplicated tag", func() { c.Lookup(0, false) },
 		"L1-test", "duplicated in set 0")
 }
 
 // TestSanitizerCatchesUnscrubbedEmptyFrame leaves a stale dirty bit and
-// stamp in an empty frame — what an Invalidate that cleared only the tag
+// rank in an empty frame — what an Invalidate that cleared only the tag
 // would leave — and asserts the next touch of the set panics.
 func TestSanitizerCatchesUnscrubbedEmptyFrame(t *testing.T) {
 	c := MustNew(Config{Name: "L2-test", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
 	c.Fill(0, true)
 	c.Invalidate(0)
-	c.sets[0].meta = 5<<lruShift | wayDirty // corrupt: empty frame with meta
+	c.meta[0] = 1 | metaDirty // corrupt: empty frame with meta
 	expectSanPanic(t, "the unscrubbed empty frame", func() { c.Lookup(0, false) },
 		"L2-test", "set 0 way 0 is empty but carries meta")
 }
@@ -75,9 +75,31 @@ func TestSanitizerCatchesOutOfRangeTag(t *testing.T) {
 func TestSanitizerCatchesOutOfRangeStoredTag(t *testing.T) {
 	c := MustNew(Config{Name: "L1-test", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
 	c.Fill(0, false)
-	c.sets[0].tag = 1<<MaxTagBits + 1 // corrupt: stores line tag 2^31
+	c.tags[0] = 1<<MaxTagBits + 1 // corrupt: stores line tag 2^31
 	expectSanPanic(t, "the out-of-range stored tag", func() { c.Lookup(4*64, false) },
 		"L1-test", "set 0 way 0 stores line tag 0x80000000")
+}
+
+// TestSanitizerCatchesBrokenRankPermutation corrupts the recency ranks of
+// a full 2-way set so they stop being a permutation of 0..1: first a
+// duplicated rank (two lines equally recent, so eviction has no unique
+// victim), then a rank at or above the set's valid count. The next touch
+// of the set must panic in both cases.
+func TestSanitizerCatchesBrokenRankPermutation(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		rank uint8
+		want string
+	}{
+		{"the duplicated rank", 0, "recency rank 0 duplicated in set 0"},
+		{"the out-of-range rank", 2, "set 0 way 1 has recency rank 2"},
+	} {
+		c := MustNew(Config{Name: "LLC-test", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
+		c.Fill(0, false)    // set 0 way 0, rank 0
+		c.Fill(4*64, false) // set 0 way 1, rank 1
+		c.meta[1] = c.meta[1]&metaDirty | tc.rank
+		expectSanPanic(t, tc.what, func() { c.Lookup(0, false) }, "LLC-test", tc.want)
+	}
 }
 
 // TestSanitizerAcceptsLegalTraffic walks fill/hit/evict/invalidate through

@@ -151,16 +151,12 @@ func (s *System) acquire(line uint64, core int, forStore bool) {
 }
 
 // fillL1 installs the line into core's L1 (dirty for stores) and cascades
-// the victim into L2.
+// the victim into L2. Every caller follows an L1 miss on the line, and
+// nothing between the miss and the fill installs it.
 //
 //lint:hotpath
 func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
-	if s.l1[core].Peek(pa) {
-		if dirty {
-			s.l1[core].Lookup(pa, true)
-		}
-		return
-	}
+	sanCheckAbsent(s.l1[core], core, pa)
 	v := s.l1[core].Fill(pa, dirty)
 	if v.Valid && v.Dirty {
 		// L1 dirty victim merges into L2 (enforced inclusive: present).
@@ -174,13 +170,12 @@ func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
 }
 
 // fillL2 installs the line into core's L2 (clean: dirtiness lives in L1
-// until eviction) and handles the displaced victim.
+// until eviction) and handles the displaced victim. Like fillL1, every
+// caller follows an L2 miss on the line.
 //
 //lint:hotpath
 func (s *System) fillL2(core int, pa uint64, t uint64) {
-	if s.l2[core].Peek(pa) {
-		return
-	}
+	sanCheckAbsent(s.l2[core], core, pa)
 	v := s.l2[core].Fill(pa, false)
 	if v.Valid {
 		s.handleL2Victim(core, v, t)

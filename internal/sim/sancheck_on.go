@@ -1,0 +1,18 @@
+//go:build simcheck
+
+package sim
+
+import (
+	"repro/internal/cache"
+	"repro/internal/sancheck"
+)
+
+// sanCheckAbsent asserts that core's private cache c does not hold pa's
+// line when it is about to be filled: a fill of a present line would put
+// it in two ways of one set.
+func sanCheckAbsent(c *cache.Cache, core int, pa uint64) {
+	if c.Peek(pa) {
+		sancheck.Failf("sim: core %d fills line %#x into %s, which already holds it",
+			core, pa, c.Config().Name)
+	}
+}

@@ -3,6 +3,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/nuca"
@@ -24,5 +25,31 @@ func TestSanitizerArmedEndToEnd(t *testing.T) {
 		if _, err := s.RunMeasured(500, 2000); err != nil {
 			t.Fatalf("policy %v under simcheck: %v", p, err)
 		}
+	}
+}
+
+// TestSanitizerCatchesFillOfResidentLine fills a line into a core's L1 and
+// L2 while they already hold it, what a fill path that skipped its miss
+// would do, and asserts the armed sanitizer panics before the second copy
+// lands.
+func TestSanitizerCatchesFillOfResidentLine(t *testing.T) {
+	s := smallSystem(t, nuca.SNUCA)
+	const pa = 0x4000
+	for _, tc := range []struct {
+		level string
+		fill  func()
+	}{
+		{"L1D", func() { s.l1[0].Fill(pa, false); s.fillL1(0, pa, false, 0) }},
+		{"L2", func() { s.l2[0].Fill(pa, false); s.fillL2(0, pa, 0) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sancheck:") || !strings.Contains(msg, tc.level+".0, which already holds it") {
+					t.Errorf("%s: panic %q, want the resident-line diagnostic", tc.level, msg)
+				}
+			}()
+			tc.fill()
+		}()
 	}
 }
