@@ -17,11 +17,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Domain static analysis: nondeterminism, maporder, statsmerge, seedflow,
-# poolslot, allocfree, hotdiv, invariantcall, the concurrency
-# contracts goroleak and mutexhold, plus the
-# config-plumbing/cache-key dataflow checks optflow and keyflow. See README
-# "Determinism invariants" and "Correctness tooling".
+# Domain static analysis, ten analyzers: nondeterminism, maporder,
+# statsmerge, seedflow, poolslot, allocfree, hotdiv, invariantcall, the
+# concurrency contract goroleak, plus the config-plumbing dataflow check
+# optflow. See README "Determinism invariants" and "Correctness tooling".
 lint:
 	$(GO) run ./cmd/renuca-lint ./...
 

@@ -7,15 +7,14 @@
 //
 // Benchmarks default to reduced windows so a full -bench=. pass stays in
 // minutes; scale up with the same environment knobs the cmd tools use
-// (RENUCA_INSTR, RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP).
+// (RENUCA_INSTR, RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP,
+// RENUCA_SEED and the hardware knobs).
 // Because one experiment run is already an aggregate over many simulations,
 // run with -benchtime=1x for a single regeneration.
 package repro
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -23,27 +22,22 @@ import (
 	"repro/internal/stats"
 )
 
-// benchParams returns reduced default windows (env-overridable) so the
-// whole benchmark suite is tractable on one host CPU.
-func benchParams() experiments.Params {
-	p := experiments.Params{
+// benchParams returns reduced default windows so the whole benchmark suite
+// is tractable on one host CPU, with the RENUCA_* environment overrides
+// applied exactly as renuca-bench applies them. A malformed knob fails the
+// benchmark.
+func benchParams(b *testing.B) experiments.Params {
+	b.Helper()
+	p, err := experiments.ParamsFromEnv(experiments.Params{
 		InstrPerCore: 120_000,
 		Warmup:       40_000,
 		CharInstr:    600_000,
 		CharWarmup:   150_000,
 		Seed:         1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	get := func(name string, dst *uint64) {
-		if v := os.Getenv(name); v != "" {
-			if n, err := strconv.ParseUint(v, 10, 64); err == nil && n > 0 {
-				*dst = n
-			}
-		}
-	}
-	get("RENUCA_INSTR", &p.InstrPerCore)
-	get("RENUCA_WARMUP", &p.Warmup)
-	get("RENUCA_CHAR_INSTR", &p.CharInstr)
-	get("RENUCA_CHAR_WARMUP", &p.CharWarmup)
 	return p
 }
 
@@ -60,7 +54,7 @@ func runExperiment(b *testing.B, id string) *experiments.Runner {
 	var r *experiments.Runner
 	start := time.Now() //lint:allow nondeterminism benchmark wall-clock for sims/sec reporting
 	for i := 0; i < b.N; i++ {
-		r = experiments.NewRunner(benchParams())
+		r = experiments.NewRunner(benchParams(b))
 		if _, err := e.Run(r); err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +74,7 @@ func runExperiment(b *testing.B, id string) *experiments.Runner {
 func BenchmarkParallelSpeedup(b *testing.B) {
 	v := mustVariant(b, "actual")
 	measure := func(workers int) (time.Duration, uint64) {
-		p := benchParams()
+		p := benchParams(b)
 		p.Workers = workers
 		r := experiments.NewRunner(p)
 		start := time.Now() //lint:allow nondeterminism speedup benchmark times the harness itself

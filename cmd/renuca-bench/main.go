@@ -11,10 +11,11 @@
 //	RENUCA_INSTR=200000 renuca-bench   # scale the measured windows
 //	renuca-bench -exp fig4 -workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Experiments launch concurrently: independent simulations fan out over a
-// bounded worker pool (RENUCA_WORKERS or -workers, default one worker per
-// CPU) while experiments that share simulation suites deduplicate through
-// the Runner's singleflight memoisation. Output order and content are
+// Experiments run one after another, in the order given, and each prints
+// as soon as it finishes. An experiment's independent simulations run as
+// one batch over a bounded worker pool (RENUCA_WORKERS or -workers, default
+// one worker per CPU), and experiments that share simulation suites reuse
+// them through the Runner's memoisation. Output order and content are
 // identical for every worker count.
 //
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
@@ -90,7 +91,7 @@ func main() {
 		return
 	}
 
-	params, err := experiments.ParamsFromEnv()
+	params, err := experiments.ParamsFromEnv(experiments.DefaultParams())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-bench:", strings.ReplaceAll(err.Error(), "\n", "; "))
 		os.Exit(2)
@@ -120,27 +121,13 @@ func main() {
 	}
 
 	start := time.Now() //lint:allow nondeterminism harness banner reports wall-clock and sims/sec
-	// Launch every experiment at once: each goroutine only coordinates —
-	// its simulations gate on the Runner's shared worker pool, and shared
-	// suites run once via singleflight. Results print in paper order as
-	// they complete.
-	outs := make([]string, len(todo))
-	errs := make([]error, len(todo))
-	done := make([]chan struct{}, len(todo))
-	for i, e := range todo {
-		done[i] = make(chan struct{})
-		go func(i int, e experiments.Experiment) {
-			defer close(done[i])
-			outs[i], errs[i] = e.Run(r)
-		}(i, e)
-	}
-	for i, e := range todo {
-		<-done[i]
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "renuca-bench: %s: %v\n", e.ID, errs[i])
+	for _, e := range todo {
+		out, err := e.Run(r)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "renuca-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("==== %s ====\n%s\n", e.Title, outs[i])
+		fmt.Printf("==== %s ====\n%s\n", e.Title, out)
 	}
 	if !*quiet {
 		elapsed := time.Since(start) //lint:allow nondeterminism harness banner reports wall-clock and sims/sec

@@ -1,7 +1,7 @@
-// Command renuca-lint runs the project's twelve domain analyzers (package
+// Command renuca-lint runs the project's ten domain analyzers (package
 // internal/lint) — determinism, stats-invariant, hot-path allocation/divide,
-// sanitizer-coverage, concurrency-safety, and config-plumbing/cache-key
-// dataflow checks — over the module and reports violations as
+// sanitizer-coverage, concurrency-safety, and config-plumbing dataflow
+// checks — over the module and reports violations as
 // file:line:col diagnostics. It exits 0 on a clean tree, 1 when any
 // diagnostic is reported, and 2 on usage or load errors, so `make check`
 // can gate on it.

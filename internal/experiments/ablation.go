@@ -28,17 +28,16 @@ func (r *Runner) Ablation() ([]AblationPoint, error) {
 	wl := r.workloads()[0]
 	thresholds := []float64{1, 3, 10, 33, 100}
 	out := make([]AblationPoint, len(thresholds))
+	r.logf("ablation", "Re-NUCA thresholds x=%v%% on %s", thresholds, wl.Name)
 	err := r.pool.Map(len(thresholds), func(i int) error {
 		th := thresholds[i]
 		o := r.options(core.ReNUCA)
 		o.Apps = wl.Apps
 		o.CriticalityThresholdPct = th
-		r.logf("ablation", "Re-NUCA threshold x=%3.0f%% on %s", th, wl.Name)
 		rep, err := core.Run(o)
 		if err != nil {
 			return fmt.Errorf("ablation x=%v: %w", th, err)
 		}
-		r.sims.Add(1)
 		critPct := 0.0
 		if rep.LLC.Fills > 0 {
 			critPct = 100 * float64(rep.LLC.CriticalFills) / float64(rep.LLC.Fills)
@@ -60,6 +59,7 @@ func (r *Runner) Ablation() ([]AblationPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.sims += uint64(len(out))
 	return out, nil
 }
 
@@ -107,18 +107,17 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 		}
 	}
 	out := make([]RotationPoint, 2)
+	r.logf("rotation", "intra-bank rotation off/on on omnetpp/xalancbmk mix (%d instr)", 10*r.P.InstrPerCore)
 	err := r.pool.Map(2, func(i int) error {
 		rot := i == 1
 		o := r.options(core.ReNUCA)
 		o.InstrPerCore = 10 * r.P.InstrPerCore
 		o.Apps = apps
 		o.IntraBankWL = rot
-		r.logf("rotation", "intra-bank rotation=%v on omnetpp/xalancbmk mix (%d instr)", rot, o.InstrPerCore)
 		rep, err := core.Run(o)
 		if err != nil {
 			return fmt.Errorf("rotation ablation: %w", err)
 		}
-		r.sims.Add(1)
 		out[i] = RotationPoint{
 			Rotation:        rot,
 			MinCapacity:     rep.MinLifetime,
@@ -130,6 +129,7 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.sims += uint64(len(out))
 	return out, nil
 }
 
@@ -166,18 +166,17 @@ func (r *Runner) WriteLatencyAblation() ([]WriteLatencyPoint, error) {
 	latencies := []uint32{100, 200, 400}
 	policies := []core.Policy{core.RNUCA, core.ReNUCA}
 	out := make([]WriteLatencyPoint, len(latencies)*len(policies))
+	r.logf("writelat", "ReRAM write latencies %v cycles x %v", latencies, policies)
 	err := r.pool.Map(len(out), func(i int) error {
 		wlat := latencies[i/len(policies)]
 		p := policies[i%len(policies)]
 		o := r.options(p)
 		o.Apps = wl.Apps
 		o.ReRAMWriteLatency = wlat
-		r.logf("writelat", "ReRAM write latency %d cycles, %s", wlat, p)
 		rep, err := core.Run(o)
 		if err != nil {
 			return fmt.Errorf("write-latency ablation: %w", err)
 		}
-		r.sims.Add(1)
 		out[i] = WriteLatencyPoint{
 			WriteLatency: wlat,
 			Policy:       rep.Policy,
@@ -189,6 +188,7 @@ func (r *Runner) WriteLatencyAblation() ([]WriteLatencyPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.sims += uint64(len(out))
 	return out, nil
 }
 

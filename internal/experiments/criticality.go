@@ -40,9 +40,10 @@ type ThresholdPoint struct {
 // same instruction stream — so the per-app series vary only in the
 // predictor's threshold, exactly as in the serial harness.
 func (r *Runner) ThresholdSweep() ([]ThresholdPoint, error) {
-	return r.sweepFlight.Do(r.memoKey("sweep"), func() ([]ThresholdPoint, error) {
+	return memo(r.sweep, r.key("sweep"), func() ([]ThresholdPoint, error) {
 		n := len(SweepApps) * len(SweepThresholds)
 		out := make([]ThresholdPoint, n)
+		r.logf("sweep", "threshold sweep: %d apps x %d thresholds (%d instr)", len(SweepApps), len(SweepThresholds), r.P.CharInstr)
 		err := r.pool.Map(n, func(i int) error {
 			app := SweepApps[i/len(SweepThresholds)]
 			th := SweepThresholds[i%len(SweepThresholds)]
@@ -57,11 +58,9 @@ func (r *Runner) ThresholdSweep() ([]ThresholdPoint, error) {
 			if err != nil {
 				return err
 			}
-			r.logf("sweep", "threshold sweep %-10s x=%3.0f%%", app, th)
 			if _, err := s.RunMeasured(r.P.CharWarmup, r.P.CharInstr); err != nil {
 				return fmt.Errorf("sweep %s@%v%%: %w", app, th, err)
 			}
-			r.sims.Add(1)
 			ps := s.Core(0).Predictor().Stats()
 			recall := 0.0
 			if n := ps.TruePositive + ps.FalseNegative; n > 0 {
@@ -88,6 +87,7 @@ func (r *Runner) ThresholdSweep() ([]ThresholdPoint, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.sims += uint64(n)
 		return out, nil
 	})
 }

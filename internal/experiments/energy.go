@@ -22,16 +22,15 @@ func (r *Runner) EnergyStudy() ([]EnergyPoint, error) {
 	wl := r.workloads()[0]
 	policies := core.Policies()
 	out := make([]EnergyPoint, 2*len(policies))
+	r.logf("energy", "energy study: %v on %s", policies, wl.Name)
 	err := r.pool.Map(len(policies), func(i int) error {
 		p := policies[i]
 		o := r.options(p)
 		o.Apps = wl.Apps
-		r.logf("energy", "energy study: %s on %s", p, wl.Name)
 		rep, err := core.Run(o)
 		if err != nil {
 			return fmt.Errorf("energy study %s: %w", p, err)
 		}
-		r.sims.Add(1)
 		// Technology comparison is post-processing of the same run: SRAM
 		// at slot 2i, ReRAM at 2i+1, matching the serial ordering.
 		for t, tech := range []energy.Technology{energy.SRAM(), energy.ReRAM()} {
@@ -46,6 +45,7 @@ func (r *Runner) EnergyStudy() ([]EnergyPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.sims += uint64(len(policies))
 	return out, nil
 }
 

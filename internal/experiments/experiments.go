@@ -6,7 +6,10 @@
 //
 // A Runner memoises the expensive simulation suites so experiments that
 // share runs (Figure 3, Figure 11, Figure 12 and Table III all consume the
-// same five policy suites) execute them once.
+// same five policy suites) execute them once. Experiments run one at a
+// time; each sends its independent simulations through the Runner's
+// worker pool as one batch (pool.Map), with every result written at its
+// index, so output is identical for every worker count.
 package experiments
 
 import (
@@ -14,8 +17,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/pool"
@@ -67,22 +69,23 @@ func DefaultParams() Params {
 	}
 }
 
-// ParamsFromEnv starts from DefaultParams and applies the RENUCA_INSTR,
+// ParamsFromEnv starts from base and applies the RENUCA_INSTR,
 // RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP and RENUCA_SEED
-// environment overrides, so benchmark runs can be scaled without editing
-// code. Each must be a positive integer, as must RENUCA_WORKERS, the
-// simulation concurrency cap (unset = one worker per CPU).
+// environment overrides, so runs can be scaled without editing code. Each
+// must be a positive integer, as must RENUCA_WORKERS, the simulation
+// concurrency cap (unset = one worker per CPU). renuca-bench passes
+// DefaultParams; the repository benchmarks pass their reduced windows.
 //
 // The hardware knobs have overrides too: RENUCA_L2 and RENUCA_L3BANK
 // (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD (criticality percent),
-// RENUCA_INTRABANK_WL (a boolean) and RENUCA_WRITE_LAT (cycles). Zero or
-// unset keeps the paper's Table I configuration.
+// RENUCA_INTRABANK_WL (a boolean) and RENUCA_WRITE_LAT (cycles). Zero
+// selects the paper's Table I configuration; unset keeps base's value.
 //
 // A malformed value is an error, as is a set RENUCA_QUEUE or
 // RENUCA_CWINDOW: those knobs selected a bank-timing model that no longer
 // exists, and ignoring them would silently change a script's results.
-func ParamsFromEnv() (Params, error) {
-	p := DefaultParams()
+func ParamsFromEnv(base Params) (Params, error) {
+	p := base
 	var errs []error
 	for _, name := range []string{"RENUCA_QUEUE", "RENUCA_CWINDOW"} {
 		if os.Getenv(name) != "" {
@@ -166,28 +169,25 @@ func VariantByKey(key string) (Variant, error) {
 	return Variant{}, fmt.Errorf("experiments: unknown variant %q", key)
 }
 
-// Runner executes experiments with memoisation. It is safe for concurrent
-// use: experiments may be launched from multiple goroutines, memoised
-// results (the policy suites, the characterisation table, the threshold
-// sweep) are computed once and shared via per-key singleflight, and all
-// simulations draw from one bounded worker pool so total concurrency stays
-// at P.Workers however many experiments are in flight.
+// Runner executes experiments with memoisation: the policy suites, the
+// characterisation table and the threshold sweep are computed once per
+// configuration and shared by every experiment that reads them. Each
+// experiment sends its simulations through the Runner's pool one batch at a
+// time, so at most P.Workers simulations run at once. A Runner is not safe
+// for concurrent use.
 type Runner struct {
 	P Params
-	// Log, when non-nil, receives progress lines (suites take tens of
-	// seconds; the harness reports what it is doing). It may be invoked
-	// from multiple goroutines but never concurrently: the Runner
-	// serialises calls and prefixes each line with the suite key that
-	// produced it.
+	// Log, when non-nil, receives one progress line per simulation batch
+	// (suites take tens of seconds; the harness reports what it is doing),
+	// prefixed with the suite or phase that produced it.
 	Log func(format string, args ...any)
 
-	logMu sync.Mutex
-	pool  *pool.Pool
-	sims  atomic.Uint64
+	pool *pool.Pool
+	sims uint64
 
-	suiteFlight  pool.Flight[string, map[string]core.SuiteReport]
-	table2Flight pool.Flight[string, []Table2Row]
-	sweepFlight  pool.Flight[string, []ThresholdPoint]
+	suites map[memoKey]map[string]core.SuiteReport
+	table2 map[memoKey][]Table2Row
+	sweep  map[memoKey][]ThresholdPoint
 }
 
 // NewRunner builds a Runner with the given parameters. It panics if
@@ -198,7 +198,13 @@ func NewRunner(p Params) *Runner {
 	if err != nil {
 		panic(err)
 	}
-	return &Runner{P: p, pool: pool.New(n)}
+	return &Runner{
+		P:      p,
+		pool:   pool.New(n),
+		suites: make(map[memoKey]map[string]core.SuiteReport),
+		table2: make(map[memoKey][]Table2Row),
+		sweep:  make(map[memoKey][]ThresholdPoint),
+	}
 }
 
 // Workers returns the size of the Runner's simulation pool.
@@ -207,17 +213,14 @@ func (r *Runner) Workers() int { return r.pool.Size() }
 // Sims returns how many simulations the Runner has completed — the
 // denominator-free throughput counter behind the harness's sims/sec
 // reporting. Memoised reuse does not re-count.
-func (r *Runner) Sims() uint64 { return r.sims.Load() }
+func (r *Runner) Sims() uint64 { return r.sims }
 
-// logf emits one progress line, serialised and prefixed with the key of
-// the suite or phase that produced it so interleaved parallel progress
-// stays attributable.
+// logf emits one progress line prefixed with the key of the suite or phase
+// that produced it.
 func (r *Runner) logf(key, format string, args ...any) {
 	if r.Log == nil {
 		return
 	}
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
 	r.Log("[%-12s] "+format, append([]any{key}, args...)...)
 }
 
@@ -255,52 +258,87 @@ func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 	return o
 }
 
-// memoKey folds every result-affecting Params field into a Flight memo
-// key. The Flights live per-Runner, but a Runner's P is exported and
-// mutable between calls, and "same key, different Params" would silently
-// return the other configuration's results. Keying on the resolved Params
-// makes that class of stale hit impossible (keyflow enforces it
-// statically). Workers is deliberately excluded: results are
-// byte-identical for every worker count, so folding it in would only
-// fragment the cache.
-func (r *Runner) memoKey(base string) string {
+// memoKey identifies one memoised computation: what was computed (a
+// variant key, "table2", "sweep") under which Params. A Runner's P is
+// exported and mutable between calls, and "same kind, different Params"
+// would silently return the other configuration's results; carrying the
+// whole Params struct puts every field, present and future, in the key.
+type memoKey struct {
+	kind string
+	p    Params
+}
+
+// key builds the memo key for kind under the current Params. Workers is
+// zeroed: results are byte-identical for every worker count, so keeping it
+// would only fragment the cache.
+func (r *Runner) key(kind string) memoKey {
 	p := r.P
-	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d l2b%d l3b%d rob%d th%g wl%t lat%d",
-		base, p.InstrPerCore, p.Warmup, p.CharInstr, p.CharWarmup, p.Seed,
-		p.L2Bytes, p.L3BankBytes, p.ROBEntries,
-		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency)
+	p.Workers = 0
+	return memoKey{kind: kind, p: p}
+}
+
+// memo returns m[k], computing and storing it with fn on a miss. A failed
+// computation stores nothing, so a later call retries.
+func memo[V any](m map[memoKey]V, k memoKey, fn func() (V, error)) (V, error) {
+	if v, ok := m[k]; ok {
+		return v, nil
+	}
+	v, err := fn()
+	if err != nil {
+		return v, err
+	}
+	m[k] = v
+	return v, nil
 }
 
 // suiteSet runs (or returns the memoised) five-policy suite for a variant.
-// The five policies fan out concurrently; each policy's ten workloads fan
-// out inside core.RunSuiteOn as per-unit pool tasks. All leaf simulations
-// gate on the shared pool, and every result lands at its (policy, workload)
-// position, so the suite is identical for any worker count.
 func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
-	return r.suiteFlight.Do(r.memoKey(v.Key), func() (map[string]core.SuiteReport, error) {
-		policies := core.Policies()
-		reports := make([]core.SuiteReport, len(policies))
-		// One coordinator per policy: pool.Coordinate holds no pool slot
-		// while the workload simulations queue, so nesting cannot deadlock.
-		err := pool.Coordinate(len(policies), func(i int) error {
-			p := policies[i]
-			o := r.policyOptions(v, p)
-			r.logf(v.Key, "policy %-8s (10 workloads x %d instr/core)", p, o.InstrPerCore)
-			sr, err := core.RunSuiteOn(r.pool, o, r.workloads())
-			if err != nil {
-				return fmt.Errorf("variant %s: %w", v.Key, err)
-			}
-			r.sims.Add(uint64(len(sr.Reports)))
-			reports[i] = sr
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	if err := r.runSuites([]Variant{v}); err != nil {
+		return nil, err
+	}
+	return r.suites[r.key(v.Key)], nil
+}
+
+// runSuites runs the five-policy suites of every variant in vs that is not
+// memoised yet, all of their units in one pool batch, and memoises each
+// variant's per-policy aggregates. Every report lands at its (variant,
+// policy, workload) position, so the suites are identical for any worker
+// count.
+func (r *Runner) runSuites(vs []Variant) error {
+	policies := core.Policies()
+	wls := r.workloads()
+	var (
+		todo  []Variant
+		keys  []string
+		units []core.Unit
+	)
+	for _, v := range vs {
+		if _, ok := r.suites[r.key(v.Key)]; ok {
+			continue
 		}
+		todo = append(todo, v)
+		keys = append(keys, v.Key)
+		for _, p := range policies {
+			units = append(units, core.SuiteUnits(v.Key, r.policyOptions(v, p), wls)...)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	variants := strings.Join(keys, ",")
+	r.logf("suites", "%s: %d policies x %d workloads x %d instr/core", variants, len(policies), len(wls), r.P.InstrPerCore)
+	reports, err := core.RunUnitsOn(r.pool, units)
+	if err != nil {
+		return fmt.Errorf("variants %s: %w", variants, err)
+	}
+	r.sims += uint64(len(reports))
+	for i, v := range todo {
 		set := make(map[string]core.SuiteReport, len(policies))
-		for i, p := range policies {
-			set[p.String()] = reports[i]
+		for j, p := range policies {
+			first := (i*len(policies) + j) * len(wls)
+			set[p.String()] = core.AggregateSuite(p.String(), reports[first:first+len(wls)])
 		}
-		return set, nil
-	})
+		r.suites[r.key(v.Key)] = set
+	}
+	return nil
 }

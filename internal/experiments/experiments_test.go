@@ -26,7 +26,7 @@ func TestParamsFromEnv(t *testing.T) {
 	t.Setenv("RENUCA_WORKERS", "6")
 	t.Setenv("RENUCA_ROB", "168")
 	t.Setenv("RENUCA_INTRABANK_WL", "true")
-	p, err := ParamsFromEnv()
+	p, err := ParamsFromEnv(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +41,25 @@ func TestParamsFromEnv(t *testing.T) {
 	}
 	if got := NewRunner(p).Workers(); got != 6 {
 		t.Errorf("runner pool size %d, want 6", got)
+	}
+
+	// An unset knob keeps the base's value, default or not.
+	for _, name := range []string{"RENUCA_INSTR", "RENUCA_WARMUP", "RENUCA_CHAR_INSTR", "RENUCA_CHAR_WARMUP", "RENUCA_SEED", "RENUCA_ROB", "RENUCA_INTRABANK_WL"} {
+		t.Setenv(name, "")
+	}
+	base := tinyParams()
+	base.Seed = 7
+	base.L2Bytes = 128 << 10
+	got, err := ParamsFromEnv(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Workers != 6 {
+		t.Errorf("RENUCA_WORKERS not applied over a base: %d", got.Workers)
+	}
+	got.Workers = 0
+	if got != base {
+		t.Errorf("unset environment changed the base:\n got %+v\nwant %+v", got, base)
 	}
 
 	// Malformed values and the removed bank-timing knobs are errors that
@@ -63,7 +82,7 @@ func TestParamsFromEnv(t *testing.T) {
 	} {
 		t.Run(c.name+"="+c.value, func(t *testing.T) {
 			t.Setenv(c.name, c.value)
-			if _, err := ParamsFromEnv(); err == nil || !strings.Contains(err.Error(), c.name) {
+			if _, err := ParamsFromEnv(DefaultParams()); err == nil || !strings.Contains(err.Error(), c.name) {
 				t.Errorf("got error %v, want one naming %s", err, c.name)
 			}
 		})
@@ -185,7 +204,7 @@ func TestLifetimeSuiteAndRenders(t *testing.T) {
 	if got := r.Sims(); got != before {
 		t.Errorf("memoised Lifetime ran %d extra sims", got-before)
 	}
-	if got := r.suiteFlight.Len(); got != 1 {
+	if got := len(r.suites); got != 1 {
 		t.Errorf("suite cache has %d entries, want 1", got)
 	}
 

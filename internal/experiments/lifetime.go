@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -152,20 +151,19 @@ type Table3Result struct {
 	Rows []LifetimeResult // one per variant, in Variants() order
 }
 
-// Table3 runs all four variants' suites. The variants fan out concurrently
-// — each Lifetime call deduplicates through the Runner's suite singleflight
-// and its simulations gate on the shared pool — and the rows land in
-// Variants() order.
+// Table3 runs the suites of all four variants, the ones not yet memoised in
+// one pool batch, and assembles the rows in Variants() order.
 func (r *Runner) Table3() (Table3Result, error) {
 	variants := Variants()
-	out := Table3Result{Rows: make([]LifetimeResult, len(variants))}
-	err := pool.Coordinate(len(variants), func(i int) error {
-		var err error
-		out.Rows[i], err = r.Lifetime(variants[i])
-		return err
-	})
-	if err != nil {
+	if err := r.runSuites(variants); err != nil {
 		return Table3Result{}, err
+	}
+	out := Table3Result{Rows: make([]LifetimeResult, len(variants))}
+	for i, v := range variants {
+		var err error
+		if out.Rows[i], err = r.Lifetime(v); err != nil {
+			return Table3Result{}, err
+		}
 	}
 	return out, nil
 }

@@ -1,17 +1,18 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // TestMemoKeyCoversResultAffectingParams mutates every result-affecting
-// Params field and checks the Flight memo key changes, while the
+// Params field and checks the memo key changes, while the
 // result-invariant execution knob (Workers — byte-identical output for any
 // value, enforced by the CI smoke diffs) deliberately does not.
 func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
-	base := NewRunner(DefaultParams()).memoKey("suite")
+	base := NewRunner(DefaultParams()).key("suite")
 
 	affecting := []func(*Params){
 		func(p *Params) { p.InstrPerCore++ },
@@ -29,8 +30,8 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 	for i, mut := range affecting {
 		p := DefaultParams()
 		mut(&p)
-		if got := NewRunner(p).memoKey("suite"); got == base {
-			t.Errorf("result-affecting mutation #%d did not change the memo key %q: two configurations would alias one memo entry", i, got)
+		if got := NewRunner(p).key("suite"); got == base {
+			t.Errorf("result-affecting mutation #%d did not change the memo key %+v: two configurations would alias one memo entry", i, got)
 		}
 	}
 
@@ -40,22 +41,22 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 	for i, mut := range invariant {
 		p := DefaultParams()
 		mut(&p)
-		if got := NewRunner(p).memoKey("suite"); got != base {
-			t.Errorf("result-invariant mutation #%d changed the memo key to %q: it would fragment the cache for identical results", i, got)
+		if got := NewRunner(p).key("suite"); got != base {
+			t.Errorf("result-invariant mutation #%d changed the memo key to %+v: it would fragment the cache for identical results", i, got)
 		}
 	}
 
-	if a, b := NewRunner(DefaultParams()).memoKey("suite"), NewRunner(DefaultParams()).memoKey("table2"); a == b {
-		t.Errorf("different base labels produced the same memo key %q", a)
+	if a, b := NewRunner(DefaultParams()).key("suite"), NewRunner(DefaultParams()).key("table2"); a == b {
+		t.Errorf("different base labels produced the same memo key %+v", a)
 	}
 }
 
-// TestMemoKeySeparatesFlightEntries is the regression test for the memo
-// aliasing hazard: a Runner whose Params change between suite requests
-// (e.g. a hardware override set between two experiments) must compute, not
-// replay, the entry cached for the old configuration. It drives the same
-// suiteFlight + memoKey path suiteSet uses and counts closure executions.
-func TestMemoKeySeparatesFlightEntries(t *testing.T) {
+// TestMemoKeySeparatesEntries is the regression test for the memo aliasing
+// hazard: a Runner whose Params change between suite requests (e.g. a
+// hardware override set between two experiments) must compute, not replay,
+// the entry cached for the old configuration. It drives the same suites map
+// and key path suiteSet uses and counts computations.
+func TestMemoKeySeparatesEntries(t *testing.T) {
 	r := NewRunner(DefaultParams())
 	calls := 0
 	run := func() (map[string]core.SuiteReport, error) {
@@ -63,7 +64,7 @@ func TestMemoKeySeparatesFlightEntries(t *testing.T) {
 		return map[string]core.SuiteReport{}, nil
 	}
 
-	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
+	if _, err := memo(r.suites, r.key("actual"), run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -71,17 +72,16 @@ func TestMemoKeySeparatesFlightEntries(t *testing.T) {
 	}
 
 	// Same configuration again: memo hit, no recomputation.
-	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
+	if _, err := memo(r.suites, r.key("actual"), run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("identical configuration recomputed (calls = %d, want 1)", calls)
 	}
 
-	// A result-affecting change must miss: before memoKey folded Params
-	// into the key, this second request replayed the default-ROB result.
+	// A result-affecting change must miss.
 	r.P.ROBEntries = 168
-	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
+	if _, err := memo(r.suites, r.key("actual"), run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
@@ -90,13 +90,23 @@ func TestMemoKeySeparatesFlightEntries(t *testing.T) {
 
 	// Restoring the original configuration hits its original entry.
 	r.P.ROBEntries = 0
-	if _, err := r.suiteFlight.Do(r.memoKey("actual"), run); err != nil {
+	if _, err := memo(r.suites, r.key("actual"), run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
 		t.Fatalf("restored configuration recomputed instead of hitting its entry (calls = %d, want 2)", calls)
 	}
-	if got := r.suiteFlight.Len(); got != 2 {
-		t.Fatalf("Flight holds %d entries, want 2 (one per configuration)", got)
+	if got := len(r.suites); got != 2 {
+		t.Fatalf("memo holds %d entries, want 2 (one per configuration)", got)
+	}
+
+	// A failed computation is not stored, so the next request retries.
+	r.P.Seed++
+	boom := errors.New("boom")
+	if _, err := memo(r.suites, r.key("actual"), func() (map[string]core.SuiteReport, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if got := len(r.suites); got != 2 {
+		t.Fatalf("failed computation was stored: %d entries, want 2", got)
 	}
 }

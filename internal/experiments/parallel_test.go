@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -44,39 +43,40 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentExperimentLaunch exercises the singleflight path the cmd
-// tools rely on: many goroutines demanding experiments that share the same
-// suite must each get the full result while the suite simulates only once.
-func TestConcurrentExperimentLaunch(t *testing.T) {
-	r := NewRunner(tinyParams())
-	v := mustVariant("actual")
-	const callers = 8
-	outs := make([]string, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lr, err := r.Lifetime(v)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			outs[i] = lr.RenderPerBank("Figure 3", []string{"S-NUCA", "R-NUCA", "Private", "Naive"})
-		}(i)
+// TestTable3ReusesMemoisedSuite checks Table III's batching against the
+// memo: after Lifetime has run the "actual" suites, Table3 runs only the
+// other three variants — 3 variants x 5 policies x 10 workloads — and a
+// second Table3 runs nothing. Only the sim count matters, so the windows
+// are a fifth of tinyParams'.
+func TestTable3ReusesMemoisedSuite(t *testing.T) {
+	p := tinyParams()
+	p.InstrPerCore, p.Warmup = 500, 120
+	r := NewRunner(p)
+	if _, err := r.Lifetime(mustVariant("actual")); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if outs[i] != outs[0] {
-			t.Fatalf("caller %d saw a different suite result", i)
+	before := r.Sims()
+	t3, err := r.Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Sims() - before; got != 150 {
+		t.Errorf("Table3 after Lifetime(actual) ran %d sims, want 150", got)
+	}
+	if len(t3.Rows) != len(Variants()) {
+		t.Fatalf("Table3 has %d rows, want %d", len(t3.Rows), len(Variants()))
+	}
+	for i, v := range Variants() {
+		if t3.Rows[i].Variant != v.Key {
+			t.Errorf("row %d is variant %q, want %q", i, t3.Rows[i].Variant, v.Key)
 		}
 	}
-	// One suite = 5 policies x 10 workloads, deduplicated across callers.
-	if got := r.Sims(); got != 50 {
-		t.Errorf("ran %d sims, want 50 (singleflight dedup)", got)
+	before = r.Sims()
+	if _, err := r.Table3(); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.suiteFlight.Len(); got != 1 {
-		t.Errorf("suite cache holds %d entries, want 1", got)
+	if got := r.Sims() - before; got != 0 {
+		t.Errorf("second Table3 ran %d sims, want 0", got)
 	}
 }
 

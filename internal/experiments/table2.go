@@ -29,9 +29,10 @@ type Table2Row struct {
 // The applications characterise in parallel on the Runner's pool — each on
 // its own single-core System — with rows collected in AppNames order.
 func (r *Runner) Table2() ([]Table2Row, error) {
-	return r.table2Flight.Do(r.memoKey("table2"), func() ([]Table2Row, error) {
+	return memo(r.table2, r.key("table2"), func() ([]Table2Row, error) {
 		names := trace.AppNames()
 		rows := make([]Table2Row, len(names))
+		r.logf("char", "characterising %d applications (%d instr)", len(names), r.P.CharInstr)
 		err := r.pool.Map(len(names), func(i int) error {
 			name := names[i]
 			prof, err := trace.ProfileFor(name)
@@ -44,12 +45,10 @@ func (r *Runner) Table2() ([]Table2Row, error) {
 			if err != nil {
 				return err
 			}
-			r.logf("char", "characterising %-12s (%d instr)", name, r.P.CharInstr)
 			res, err := s.RunMeasured(r.P.CharWarmup, r.P.CharInstr)
 			if err != nil {
 				return fmt.Errorf("characterising %s: %w", name, err)
 			}
-			r.sims.Add(1)
 			ctr := s.Counters(0)
 			hit := 0.0
 			if acc := ctr.LLCHits + ctr.LLCMisses; acc > 0 {
@@ -71,6 +70,7 @@ func (r *Runner) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.sims += uint64(len(rows))
 		return rows, nil
 	})
 }

@@ -1,7 +1,7 @@
 package lint
 
 // fieldflow.go is the field-provenance dataflow engine behind the optflow
-// and keyflow analyzers. It tracks the two configuration structs that
+// analyzer. It tracks the two configuration structs that
 // determine every simulation result — core.Options and experiments.Params,
 // matched by (type name, package-path suffix) so fixture trees analyse the
 // same way as the real module — and builds, over the whole program:
@@ -102,14 +102,6 @@ type writeSite struct {
 	params map[types.Object]bool
 }
 
-// doSite is one pool.Flight.Do(key, fn) call in non-test code.
-type doSite struct {
-	pkg   *Package
-	node  flowNode
-	call  *ast.CallExpr
-	inits map[types.Object]ast.Expr
-}
-
 // compositeSite is a composite literal of a tracked struct type, recorded
 // with the set of fields it populates (for the lossy-copy check).
 type compositeSite struct {
@@ -129,26 +121,22 @@ type ifaceCall struct {
 }
 
 // fieldFlow accumulates packages during the Run phase and builds the whole
-// graph once, lazily, when the first Finish hook fires.
+// graph when optflow's Finish hook fires.
 type fieldFlow struct {
-	fset  *token.FileSet
-	seen  map[*Package]bool
-	pkgs  []*Package
-	built bool
+	fset *token.FileSet
+	seen map[*Package]bool
+	pkgs []*Package
 
-	structs  map[trackedKey]*trackedStruct
-	fieldPos map[fieldRef]token.Pos
+	structs map[trackedKey]*trackedStruct
 
 	methods  map[string][]*types.Func
 	nodePkg  map[flowNode]string // declaring package path (decl nodes and lits)
 	reads    map[flowNode]map[fieldRef]bool
 	calls    map[flowNode]map[flowNode]bool
 	tainted  map[flowNode]bool
-	litNodes map[token.Pos]flowNode
 	skipRead map[*ast.SelectorExpr]bool
 
 	writes     []*writeSite
-	doSites    []doSite
 	composites []compositeSite
 	ifaceCalls []ifaceCall
 }
@@ -157,13 +145,11 @@ func newFieldFlow() *fieldFlow {
 	return &fieldFlow{
 		seen:     make(map[*Package]bool),
 		structs:  make(map[trackedKey]*trackedStruct),
-		fieldPos: make(map[fieldRef]token.Pos),
 		methods:  make(map[string][]*types.Func),
 		nodePkg:  make(map[flowNode]string),
 		reads:    make(map[flowNode]map[fieldRef]bool),
 		calls:    make(map[flowNode]map[flowNode]bool),
 		tainted:  make(map[flowNode]bool),
-		litNodes: make(map[token.Pos]flowNode),
 		skipRead: make(map[*ast.SelectorExpr]bool),
 	}
 }
@@ -293,7 +279,7 @@ type walkCtx struct {
 // (including inside its closures): x := e, var x = e, multi-value x, y :=
 // f() (both map to the call), and range variables (mapping to the ranged
 // expression). It is a provenance heuristic, not SSA: reassignments are not
-// invalidated, and exprDerived/keyFields bound their chase depth.
+// invalidated, and exprDerived bounds its chase depth.
 func collectInits(info *types.Info, body ast.Node) map[types.Object]ast.Expr {
 	inits := make(map[types.Object]ast.Expr)
 	record := func(id ast.Expr, expr ast.Expr) {
@@ -358,13 +344,9 @@ func addFieldListParams(info *types.Info, fl *ast.FieldList, out map[types.Objec
 	}
 }
 
-// build runs the whole-program passes once; add must have seen every
-// package first (Finish-phase only).
+// build runs the whole-program passes; add must have seen every package
+// first (Finish-phase only).
 func (e *fieldFlow) build() {
-	if e.built {
-		return
-	}
-	e.built = true
 	for _, pkg := range e.pkgs {
 		if strings.HasSuffix(pkg.Path, ".test") {
 			continue
@@ -446,10 +428,6 @@ func (e *fieldFlow) collectStructs(pkg *Package) {
 			continue
 		}
 		e.structs[key] = &trackedStruct{key: key, st: st}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			e.fieldPos[fieldRef{owner: key, field: f.Name()}] = f.Pos()
-		}
 	}
 }
 
@@ -460,7 +438,6 @@ func (e *fieldFlow) walkBody(ctx *walkCtx, node flowNode, params map[types.Objec
 		case *ast.FuncLit:
 			child := flowNode{lit: v.Pos()}
 			e.nodePkg[child] = strings.TrimSuffix(ctx.pkg.Path, ".test")
-			e.litNodes[v.Pos()] = child
 			e.addCall(node, child)
 			cp := make(map[types.Object]bool, len(params)+4)
 			for o := range params {
@@ -568,9 +545,6 @@ func (e *fieldFlow) visitCall(ctx *walkCtx, node flowNode, call *ast.CallExpr) {
 		path := p.Path()
 		if path == "flag" || (path == "os" && (fn.Name() == "Getenv" || fn.Name() == "LookupEnv")) {
 			e.tainted[node] = true
-		}
-		if fn.Name() == "Do" && strings.HasSuffix(strings.TrimSuffix(path, ".test"), "/internal/pool") && len(call.Args) == 2 {
-			e.doSites = append(e.doSites, doSite{pkg: ctx.pkg, node: node, call: call, inits: ctx.inits})
 		}
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -694,11 +668,6 @@ func (e *fieldFlow) reachableFrom(suffix string) map[flowNode]bool {
 	}
 	seeds := sortedNodes(roots)
 	return e.bfs(roots, seeds)
-}
-
-// callClosure returns n plus every node transitively callable from it.
-func (e *fieldFlow) callClosure(n flowNode) map[flowNode]bool {
-	return e.bfs(map[flowNode]bool{n: true}, []flowNode{n})
 }
 
 // sortedStructs returns the reportable tracked structs in stable order.

@@ -127,7 +127,6 @@ func runFixtureTree(t *testing.T, fixture, analyzer string) {
 }
 
 func TestOptflowFixture(t *testing.T) { runFixtureTree(t, "optflow", "optflow") }
-func TestKeyflowFixture(t *testing.T) { runFixtureTree(t, "keyflow", "keyflow") }
 
 // runAllowFixture runs the FULL analyzer roster over a single-package
 // fixture: the allow-hardening diagnostics (unknown analyzer, stale allow)
@@ -147,7 +146,7 @@ func TestStaleAllowFixture(t *testing.T)   { runAllowFixture(t, "allowstale") }
 
 // BenchmarkLintRepo measures one full lint pass — parse and type-check the
 // whole module (including GOROOT source for stdlib imports), then run all
-// twelve analyzers. This is the cost `make lint` and the CI gate pay.
+// ten analyzers. This is the cost `make lint` and the CI gate pay.
 func BenchmarkLintRepo(b *testing.B) {
 	root := moduleRoot(b)
 	b.ReportAllocs()

@@ -1,5 +1,5 @@
 // Package lint implements renuca-lint, the project's domain-specific static
-// analysis. Twelve analyzers built on go/ast and go/types only enforce the
+// analysis. Ten analyzers built on go/ast and go/types only enforce the
 // simulator's four contracts. The scientific contract — identical results
 // for identical (seed, config) regardless of wall-clock, worker count, or
 // map iteration order:
@@ -27,26 +27,20 @@
 //     bearing packages (coherence, cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
 //
-// And the concurrency-safety contract — the worker pool and the experiment
-// fan-out cannot deadlock or leak goroutines:
+// And the concurrency-safety contract — the worker pool cannot leak
+// goroutines:
 //
 //   - goroleak: every goroutine launch carries a visible join (WaitGroup
-//     Add/Done pairing, owned done-channel close, or result send);
-//   - mutexhold: no mutex held across blocking operations (channel ops,
-//     Wait, Sleep, select without default, pipe/process I/O).
+//     Add/Done pairing, owned done-channel close, or result send).
 //
 // And the config-plumbing contract — every result is a pure function of a
 // fully-resolved core.Options + seed, so every knob must flow end to end
-// and every memo key must cover what its computation reads (both built on
-// the whole-program field-provenance engine in fieldflow.go):
+// (built on the whole-program field-provenance engine in fieldflow.go):
 //
 //   - optflow: exported core.Options / experiments.Params fields must be
 //     consumed by simulator construction, settable from a CLI flag or env
 //     var in the command binaries, and reach every unit intact (no lossy
-//     Options literal in SuiteUnits/RunUnit);
-//   - keyflow: a pool.Flight.Do closure that transitively reads an
-//     Options/Params field must fold that field into its key expression,
-//     or two configurations alias one memo entry.
+//     Options literal in SuiteUnits/RunUnit).
 //
 // Intentional exceptions are annotated in place:
 //
@@ -122,11 +116,8 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all twelve analyzers. optflow
-// and keyflow share one field-provenance engine so the whole-program graph
-// is built once per run.
+// NewAnalyzers returns fresh instances of all ten analyzers.
 func NewAnalyzers() []*Analyzer {
-	engine := newFieldFlow()
 	return []*Analyzer{
 		newNondeterminism(),
 		newMapOrder(),
@@ -137,9 +128,7 @@ func NewAnalyzers() []*Analyzer {
 		newHotDiv(),
 		newInvariantCall(),
 		newGoroLeak(),
-		newMutexHold(),
-		newOptFlow(engine),
-		newKeyFlow(engine),
+		newOptFlow(),
 	}
 }
 

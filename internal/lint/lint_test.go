@@ -154,7 +154,6 @@ func TestAllocFreeFixture(t *testing.T)      { runFixture(t, "allocfree") }
 func TestHotDivFixture(t *testing.T)         { runFixture(t, "hotdiv") }
 func TestInvariantCallFixture(t *testing.T)  { runFixture(t, "invariantcall") }
 func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
-func TestMutexHoldFixture(t *testing.T)      { runFixture(t, "mutexhold") }
 
 // TestLoaderSkipsTaggedOutFiles pins the loader's build-constraint
 // filtering: the buildtag fixture's two files declare the same names under
@@ -234,7 +233,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
 	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,invariantcall," +
-		"goroleak,mutexhold,optflow,keyflow"
+		"goroleak,optflow"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)
 	}

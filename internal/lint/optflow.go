@@ -30,7 +30,8 @@ func optflowCmds(name string) []string {
 	return []string{"/cmd/renuca-bench"}
 }
 
-func newOptFlow(e *fieldFlow) *Analyzer {
+func newOptFlow() *Analyzer {
+	e := newFieldFlow()
 	a := &Analyzer{
 		Name: "optflow",
 		Doc:  "exported Options/Params fields must be consumed by simulator construction, settable from a flag or env var in the CLIs, and copied whole into every suite unit",

@@ -5,13 +5,14 @@ import (
 	"strings"
 )
 
-// newPoolSlot keeps goroutine fan-out in the experiment layer on the
-// bounded pool. A bare `go` statement in internal/experiments or
-// internal/core bypasses internal/pool's slot cap (unbounded concurrent
-// simulations, unbounded peak memory) and its lowest-index-first-error
-// cancellation. Use pool.Map for leaf work and pool.Coordinate for
-// coordinator fan-out; a coordinator that genuinely must hand-roll its
-// goroutines documents why via //lint:allow poolslot <reason>.
+// newPoolSlot keeps concurrency in the experiment layer on the bounded
+// pool. pool.Map caps the simulations of one call at the pool size, so the
+// cap holds only while Map calls never overlap; a bare `go` statement in
+// internal/experiments or internal/core could overlap them (unbounded
+// concurrent simulations, unbounded peak memory) and bypasses Map's
+// lowest-index-first-error cancellation. Run independent work as one
+// pool.Map batch; code that genuinely must hand-roll its goroutines
+// documents why via //lint:allow poolslot <reason>.
 //
 // _test.go files are exempt: tests hammer the Runner from raw goroutines
 // on purpose.
@@ -31,7 +32,7 @@ func newPoolSlot() *Analyzer {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if gs, ok := n.(*ast.GoStmt); ok {
-					p.Reportf(gs.Pos(), "bare goroutine bypasses internal/pool's bounded slots and first-error cancellation; use pool.Map (leaf work) or pool.Coordinate (coordinator fan-out)")
+					p.Reportf(gs.Pos(), "bare goroutine bypasses internal/pool's bounded slots and first-error cancellation; run the work as one pool.Map batch")
 				}
 				return true
 			})

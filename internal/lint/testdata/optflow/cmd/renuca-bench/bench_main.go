@@ -24,5 +24,9 @@ func main() {
 		n, _ := strconv.ParseUint(v, 10, 64)
 		o.Seed = n
 	}
+	if v := os.Getenv("TUNED"); v != "" {
+		n, _ := strconv.ParseUint(v, 10, 64)
+		o.Tuned = n
+	}
 	_ = core.Run(o)
 }

@@ -11,11 +11,13 @@ import (
 func main() {
 	instr := flag.Uint64("instr", 1000, "instructions per core")
 	seed := flag.Uint64("seed", 1, "simulation seed")
+	tuned := flag.Uint64("tuned", 0, "tuning knob")
 	flag.Parse()
 
 	var o core.Options
 	o.Instr = *instr
 	o.Seed = *seed
+	o.Tuned = *tuned
 	_ = core.Run(o)
 	_ = core.SuiteUnits(o, 2)
 }

@@ -9,11 +9,24 @@ type Options struct {
 	Seed     uint64
 	Knob     uint64 // want `Options\.Knob cannot be set from any CLI flag or env var reachable from cmd/renuca-sim` want `Options\.Knob cannot be set from any CLI flag or env var reachable from cmd/renuca-bench`
 	Dangling uint64 // want `Options\.Dangling is never consumed by simulator construction`
+	Tuned    uint64
 }
+
+// tuner is called through an interface: optflow resolves the call to every
+// analysed implementation, so Tuned, read only behind it, is consumed.
+type tuner interface {
+	Tune(o Options) uint64
+}
+
+type fieldTuner struct{}
+
+func (fieldTuner) Tune(o Options) uint64 { return o.Tuned }
+
+var defaultTuner tuner = fieldTuner{}
 
 // config consumes every plumbed knob.
 func config(o Options) uint64 {
-	return o.Instr + o.Seed + o.Knob
+	return o.Instr + o.Seed + o.Knob + defaultTuner.Tune(o)
 }
 
 // Run is the public construction entry.
@@ -29,7 +42,7 @@ type Unit struct {
 func SuiteUnits(base Options, n int) []Unit {
 	units := make([]Unit, n)
 	for i := range units {
-		units[i] = Unit{Opts: Options{Instr: base.Instr, Seed: base.Seed}} // want `Options literal in SuiteUnits drops exported fields Dangling, Knob`
+		units[i] = Unit{Opts: Options{Instr: base.Instr, Seed: base.Seed}} // want `Options literal in SuiteUnits drops exported fields Dangling, Knob, Tuned`
 	}
 	return units
 }

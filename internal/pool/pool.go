@@ -1,8 +1,5 @@
-// Package pool provides the concurrency substrate of the parallel
-// experiment harness: a bounded worker pool whose slots are shared by every
-// concurrently-launched experiment, and a generic singleflight-style Flight
-// that memoises expensive results per key while deduplicating concurrent
-// computations of the same key.
+// Package pool bounds how many simulations run at once. Map runs a batch of
+// independent tasks over at most Size workers and waits for all of them.
 //
 // The determinism contract is positional: Map hands every task its index
 // and the caller writes results into a pre-sized slice at that index, so
@@ -10,6 +7,10 @@
 // finished first. Simulations themselves must not share mutable state —
 // each task constructs its own sim.System — which is what makes the
 // parallel output byte-identical to the serial one.
+//
+// The cap is per call: Map calls that overlap (from separate goroutines, or
+// a task that calls Map itself) each start their own workers. The
+// experiment harness therefore runs one Map at a time.
 package pool
 
 import (
@@ -18,6 +19,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers resolves the worker count for a pool: an explicit positive
@@ -40,121 +42,68 @@ func DefaultWorkers(explicit int) (int, error) {
 	return int(n), nil
 }
 
-// Pool is a bounded set of execution slots. A single Pool is shared across
-// every suite and characterisation run a Runner launches, so total
-// simulation concurrency — and therefore peak memory — is capped at Size
-// regardless of how many experiments are in flight. Coordinator goroutines
-// (per-policy, per-variant fan-out) hold no slot while they wait on their
-// leaf tasks, so nesting Map calls cannot deadlock.
+// Pool is a worker count shared by every batch a Runner executes, so
+// simulation concurrency — and therefore peak memory — stays at Size.
 type Pool struct {
-	sem chan struct{}
+	size int
 }
 
-// New builds a pool with the given number of slots (minimum 1).
+// New builds a pool with the given number of workers (minimum 1).
 func New(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
+	return &Pool{size: max(workers, 1)}
 }
 
-// Size returns the slot count.
-func (p *Pool) Size() int { return cap(p.sem) }
+// Size returns the worker count.
+func (p *Pool) Size() int { return p.size }
 
-// Coordinate runs fn(0), fn(1), … fn(n-1) concurrently WITHOUT occupying
-// pool slots and waits for all of them, returning the error with the lowest
-// index. It exists for coordinator fan-out — per-policy or per-variant
-// goroutines whose leaf simulations gate on a shared Pool via Map. A
-// coordinator must not hold a slot while its children queue for slots, or
-// nested fan-out could deadlock; renuca-lint's poolslot analyzer therefore
-// requires all goroutine launches in the experiment layer to route through
-// either Map or Coordinate.
-func Coordinate(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		// Coordinate IS the sanctioned launch point; poolslot only scans
-		// the experiment layer, so no allow is needed here.
-		go func(i int) {
-			defer wg.Done()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstErr = i, err
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// Map runs fn(0), fn(1), … fn(n-1), each occupying one pool slot, and waits
-// for all of them. The first error cancels the remainder: tasks that have
-// not started yet are skipped, tasks already running drain normally, and
-// the error reported is the one with the lowest index among those observed.
-// fn must confine its side effects to index i of the caller's result slice.
+// Map runs fn(0), fn(1), … fn(n-1) on min(Size, n) workers and waits for
+// all of them. Workers take indices in increasing order from a shared
+// counter, and the caller's goroutine is worker 0, so a one-worker pool
+// runs the tasks inline in index order. The first error stops the batch:
+// no worker takes a new task, tasks already running drain normally, and
+// the error reported is the one with the lowest index among the tasks that
+// ran. fn must confine its side effects to index i of the caller's result
+// slice.
 func (p *Pool) Map(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	// A single-slot pool can never overlap two tasks, so the goroutine
-	// fan-out only adds scheduler churn and cross-goroutine cache traffic —
-	// measurably slower than serial on GOMAXPROCS=1 runners, where
-	// DefaultWorkers resolves to exactly this width. Run the tasks inline
-	// in the caller's goroutine instead, still taking the slot per task so
-	// the global concurrency cap holds across concurrent Map callers: index
-	// order and stop-at-first-error are exactly what one slot draining an
-	// ordered queue produces.
-	if cap(p.sem) == 1 {
-		for i := 0; i < n; i++ {
-			p.sem <- struct{}{}
-			err := fn(i)
-			<-p.sem
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	errs := make([]error, n)
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-		stopped  bool
+		next atomic.Int64
+		stop atomic.Bool
 	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p.sem <- struct{}{}
-			defer func() { <-p.sem }()
-			mu.Lock()
-			skip := stopped
-			mu.Unlock()
-			if skip {
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
 				return
 			}
 			if err := fn(i); err != nil {
-				mu.Lock()
-				stopped = true
-				if i < errIdx {
-					errIdx, firstErr = i, err
-				}
-				mu.Unlock()
+				errs[i] = err
+				stop.Store(true)
 			}
-		}(i)
+			// A worker never blocks, so without a yield it gives up its P
+			// only at preemption and the runtime's background GC
+			// goroutines fall behind: peak RSS on batches of short
+			// simulations rose 8% before this yield.
+			runtime.Gosched()
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(p.size, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -68,10 +68,11 @@ func TestMapIndexesResults(t *testing.T) {
 }
 
 func TestMapRespectsBound(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		p := New(workers)
-		var cur, max atomic.Int64
-		err := p.Map(20, func(int) error {
+	for _, c := range []struct{ workers, n int }{{1, 20}, {2, 20}, {4, 20}, {8, 3}} {
+		p := New(c.workers)
+		var cur, max, ran atomic.Int64
+		err := p.Map(c.n, func(int) error {
+			ran.Add(1)
 			c := cur.Add(1)
 			for {
 				m := max.Load()
@@ -86,9 +87,25 @@ func TestMapRespectsBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := max.Load(); got > int64(workers) {
-			t.Errorf("workers=%d: observed %d concurrent tasks", workers, got)
+		if got := max.Load(); got > int64(min(c.workers, c.n)) {
+			t.Errorf("workers=%d n=%d: observed %d concurrent tasks", c.workers, c.n, got)
 		}
+		if got := ran.Load(); got != int64(c.n) {
+			t.Errorf("workers=%d n=%d: ran %d tasks", c.workers, c.n, got)
+		}
+	}
+
+	// With fewer tasks than workers every task still gets its own worker:
+	// three tasks that each wait for the other two all finish.
+	var started sync.WaitGroup
+	started.Add(3)
+	err := New(8).Map(3, func(int) error {
+		started.Done()
+		started.Wait()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -140,133 +157,43 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
-func TestMapSharedAcrossConcurrentCalls(t *testing.T) {
-	// Two concurrent Maps share one pool: the bound holds globally.
-	p := New(2)
-	var cur, max atomic.Int64
-	task := func(int) error {
-		c := cur.Add(1)
-		for {
-			m := max.Load()
-			if c <= m || max.CompareAndSwap(m, c) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
+// TestMapNestedDoesNotDeadlock calls Map from inside a Map task on the same
+// pool. A pool that held a slot per running task would deadlock on one
+// slot; Map's workers belong to the call, so the inner batch runs on the
+// outer task's goroutine (and its own workers).
+func TestMapNestedDoesNotDeadlock(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := New(workers)
+		done := make(chan error, 1)
+		var inner atomic.Int64
 		go func() {
-			defer wg.Done()
-			if err := p.Map(10, task); err != nil {
-				t.Error(err)
-			}
+			done <- p.Map(3, func(int) error {
+				return p.Map(4, func(int) error {
+					inner.Add(1)
+					return nil
+				})
+			})
 		}()
-	}
-	wg.Wait()
-	if got := max.Load(); got > 2 {
-		t.Errorf("observed %d concurrent tasks across Maps, want <= 2", got)
-	}
-}
-
-func TestCoordinateRunsAllTasks(t *testing.T) {
-	const n = 16
-	out := make([]int, n)
-	if err := Coordinate(n, func(i int) error {
-		out[i] = i + 1
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i+1)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: nested Map did not complete", workers)
+		}
+		if got := inner.Load(); got != 12 {
+			t.Errorf("workers=%d: ran %d inner tasks, want 12", workers, got)
 		}
 	}
-	if err := Coordinate(0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestCoordinatePrefersLowestIndexError(t *testing.T) {
-	// Unlike Map, Coordinate never skips: every task runs even after an
-	// error, and the lowest-index error is the one reported.
-	var ran atomic.Int64
-	var started sync.WaitGroup
-	started.Add(8)
-	err := Coordinate(8, func(i int) error {
-		started.Done()
-		started.Wait()
-		ran.Add(1)
-		if i%2 == 1 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 1 failed" {
-		t.Errorf("err = %v, want task 1's error", err)
-	}
-	if got := ran.Load(); got != 8 {
-		t.Errorf("ran %d tasks, want all 8", got)
-	}
-}
-
-func TestFlightMemoisesAndDeduplicates(t *testing.T) {
-	var f Flight[string, int]
-	var calls atomic.Int64
-	compute := func() (int, error) {
-		calls.Add(1)
-		time.Sleep(5 * time.Millisecond)
-		return 42, nil
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := f.Do("k", compute)
-			if err != nil || v != 42 {
-				t.Errorf("Do = %d, %v", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("compute ran %d times, want 1", got)
-	}
-	// Memoised: a later call must not recompute.
-	if v, _ := f.Do("k", func() (int, error) { t.Error("recomputed"); return 0, nil }); v != 42 {
-		t.Errorf("memoised value = %d", v)
-	}
-	if f.Len() != 1 {
-		t.Errorf("Len = %d, want 1", f.Len())
-	}
-}
-
-func TestFlightForgetsErrors(t *testing.T) {
-	var f Flight[string, int]
-	boom := errors.New("boom")
-	if _, err := f.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if f.Len() != 0 {
-		t.Fatalf("failed call retained: Len = %d", f.Len())
-	}
-	v, err := f.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("retry = %d, %v", v, err)
-	}
-}
-
-// TestMapSingleSlotRunsInline pins the single-slot fast path: a pool of
-// width 1 must run its tasks in the caller's goroutine, in strict index
-// order, and stop at the first error with exactly the earlier tasks
-// executed — no goroutine fan-out, no out-of-order starts. This is the
-// serial fallback that keeps GOMAXPROCS=1 runners (where DefaultWorkers
-// resolves to 1) from paying scheduler churn for zero parallelism.
+// TestMapSingleSlotRunsInline pins the single-worker case: a pool of width
+// 1 runs its tasks in the caller's goroutine, in strict index order, and
+// stops at the first error with exactly the earlier tasks executed — no
+// goroutine fan-out, no out-of-order starts. GOMAXPROCS=1 runners, where
+// DefaultWorkers resolves to 1, pay no scheduler churn for zero
+// parallelism.
 func TestMapSingleSlotRunsInline(t *testing.T) {
 	p := New(1)
 
