@@ -14,8 +14,11 @@ build:
 fmt:
 	test -z "$$(gofmt -l .)"
 
+# Vet the simcheck build too: its sanitizer files and tests compile only
+# under the tag, so plain vet misses their breakage.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags simcheck ./...
 
 # Domain static analysis, ten analyzers: nondeterminism, maporder,
 # statsmerge, seedflow, poolslot, allocfree, hotdiv, invariantcall, the

@@ -83,7 +83,7 @@ const (
 //
 // The table is direct-mapped over Entries hash-scattered indices, but a
 // core's loads come from at most a few hundred static PCs, so most indices
-// are never used. Each index therefore holds a 4-byte position in a dense
+// are never used. Each index therefore holds a 2-byte position in a dense
 // entry store that grows in first-use order; position 0 is a permanently
 // empty entry that every unused index points at, so a probe of an unused
 // index reads as a tag miss with no extra branch. An index keeps its
@@ -92,7 +92,7 @@ const (
 type CPT struct {
 	cfg     Config
 	mask    uint64
-	index   []uint32 // table index -> position in entries; 0 = never used
+	index   []uint16 // table index -> position in entries; 0 = never used
 	entries []entry  // entries[0] is the empty entry
 	stats   Stats
 
@@ -102,10 +102,18 @@ type CPT struct {
 	intThresh uint64
 }
 
-// New validates cfg and builds the table. Entries must be a power of two.
+// maxEntries bounds Entries so that every position, 1 to Entries, fits
+// the uint16 index.
+const maxEntries = 1 << 15
+
+// New validates cfg and builds the table. Entries must be a power of two
+// no larger than 32768.
 func New(cfg Config) (*CPT, error) {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 		return nil, fmt.Errorf("predictor: entries %d must be a positive power of two", cfg.Entries)
+	}
+	if cfg.Entries > maxEntries {
+		return nil, fmt.Errorf("predictor: entries %d exceed %d, the most a 16-bit position can index", cfg.Entries, maxEntries)
 	}
 	if !(cfg.ThresholdPct > 0 && cfg.ThresholdPct <= 100) { // NaN fails both
 		return nil, fmt.Errorf("predictor: threshold %v%% out of (0,100]", cfg.ThresholdPct)
@@ -113,7 +121,7 @@ func New(cfg Config) (*CPT, error) {
 	c := &CPT{
 		cfg:     cfg,
 		mask:    uint64(cfg.Entries - 1),
-		index:   make([]uint32, cfg.Entries),
+		index:   make([]uint16, cfg.Entries),
 		entries: make([]entry, 1, 1+min(cfg.Entries, initialEntries)),
 	}
 	if t := math.Trunc(cfg.ThresholdPct); t == cfg.ThresholdPct {
@@ -253,7 +261,7 @@ func (c *CPT) OnLoadCommit(pc uint64, predicted, blocked bool) {
 	}
 	fresh := entry{key: pc + 1, counts: rb<<countShift | 1}
 	if c.index[i] == 0 {
-		c.index[i] = uint32(len(c.entries))
+		c.index[i] = uint16(len(c.entries))
 		//lint:allow allocfree bounded: one append per table index ever used, so at most Entries in a lifetime, and none while the PCs fit initialEntries
 		c.entries = append(c.entries, fresh)
 		return

@@ -13,6 +13,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	bad := []Config{
 		{Entries: 0, ThresholdPct: 3},
 		{Entries: 3, ThresholdPct: 3},
+		{Entries: 1 << 16, ThresholdPct: 3}, // positions past 1<<15 overflow uint16
 		{Entries: 256, ThresholdPct: 0},
 		{Entries: 256, ThresholdPct: 101},
 		{Entries: -4, ThresholdPct: 3},
@@ -21,6 +22,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	if _, err := New(Config{Entries: 1 << 15, ThresholdPct: 3}); err != nil {
+		t.Errorf("largest 16-bit-indexable table: %v", err)
 	}
 }
 

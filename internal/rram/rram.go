@@ -46,11 +46,18 @@ func DefaultConfig() Config {
 }
 
 // Wear tracks per-frame write counts for every LLC bank.
+//
+// A frame's count is kept in two parts: the low 16 bits in frames, and
+// the carries above them in high. The paper's windows charge a frame far
+// fewer than 65,536 writes, so high stays nil until some frame passes
+// 65,535 writes, and then holds only the frames that have. The full
+// count, high[i]<<16 | frames[i], is exact for any window length.
 type Wear struct {
 	cfg        Config
-	frames     []uint32 // [bank*FramesPerBank+frame] -> writes
+	frames     []uint16          // [bank*FramesPerBank+frame] -> writes mod 2^16
+	high       map[uint64]uint64 // frame index -> writes>>16; nil until the first wrap
 	bankWrites []uint64
-	maxFrame   []uint32 // running per-bank hottest frame count
+	maxFrame   []uint64 // running per-bank hottest frame count
 	san        sanState // wear-monotonicity shadow; zero-size without the simcheck tag
 }
 
@@ -72,9 +79,9 @@ func New(cfg Config) (*Wear, error) {
 	}
 	return &Wear{
 		cfg:        cfg,
-		frames:     make([]uint32, uint64(cfg.Banks)*cfg.FramesPerBank),
+		frames:     make([]uint16, uint64(cfg.Banks)*cfg.FramesPerBank),
 		bankWrites: make([]uint64, cfg.Banks),
-		maxFrame:   make([]uint32, cfg.Banks),
+		maxFrame:   make([]uint64, cfg.Banks),
 	}, nil
 }
 
@@ -98,15 +105,38 @@ func (w *Wear) RecordWrite(bank int, frame uint64) {
 	i := uint64(bank)*w.cfg.FramesPerBank + frame
 	w.frames[i]++
 	w.bankWrites[bank]++
-	if w.frames[i] > w.maxFrame[bank] {
-		w.maxFrame[bank] = w.frames[i]
+	n := uint64(w.frames[i])
+	if n == 0 || w.high != nil {
+		n = w.carry(i)
+	}
+	if n > w.maxFrame[bank] {
+		w.maxFrame[bank] = n
 	}
 	w.sanCheckWrite(bank, frame)
+}
+
+// carry is RecordWrite's slow path, taken once the low word of frame i has
+// wrapped or any frame holds a carry: it records a wrap that just happened
+// and returns the frame's full count.
+func (w *Wear) carry(i uint64) uint64 {
+	if w.frames[i] == 0 {
+		if w.high == nil {
+			w.high = make(map[uint64]uint64)
+		}
+		w.high[i]++
+	}
+	return w.count(i)
+}
+
+// count returns the full write count of frame index i.
+func (w *Wear) count(i uint64) uint64 {
+	return w.high[i]<<16 | uint64(w.frames[i])
 }
 
 // Reset zeroes all wear state (warmup/measure boundary).
 func (w *Wear) Reset() {
 	clear(w.frames)
+	w.high = nil
 	clear(w.bankWrites)
 	clear(w.maxFrame)
 	w.sanReset()
@@ -125,7 +155,7 @@ func (w *Wear) TotalWrites() uint64 {
 }
 
 // MaxFrameWrites returns the hottest frame count of a bank.
-func (w *Wear) MaxFrameWrites(bank int) uint64 { return uint64(w.maxFrame[bank]) }
+func (w *Wear) MaxFrameWrites(bank int) uint64 { return w.maxFrame[bank] }
 
 // lifetimeYears converts a per-frame write count observed over elapsed
 // cycles into years until the endurance budget is exhausted.

@@ -167,6 +167,48 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestCarryKeepsCountsExact drives one frame across the 16-bit low word's
+// wrap, with a second frame of the same bank written around it, and
+// checks the bank's counters and first-failure lifetime against their
+// closed forms, then that Reset drops the carries.
+func TestCarryKeepsCountsExact(t *testing.T) {
+	for _, n := range []uint64{65_535, 65_536, 70_000} {
+		w := tiny()
+		w.RecordWrite(1, 4)
+		w.RecordWrite(1, 4)
+		for range n {
+			w.RecordWrite(1, 3)
+		}
+		for range 3 {
+			w.RecordWrite(1, 4)
+		}
+		if got := w.MaxFrameWrites(1); got != n {
+			t.Errorf("n=%d: MaxFrameWrites = %d, want %d", n, got, n)
+		}
+		if got := w.BankWrites(1); got != n+5 {
+			t.Errorf("n=%d: BankWrites = %d, want %d", n, got, n+5)
+		}
+		// 1e9 cycles at 1GHz is one second, so the hottest frame's rate is n
+		// writes a second against an endurance of 1e6.
+		want := 1e6 / float64(n) / SecondsPerYear
+		if got := w.FirstFailureLifetimeYears(1, 1e9); math.Abs(got-want)/want > 1e-12 {
+			t.Errorf("n=%d: first-failure lifetime = %v years, want %v", n, got, want)
+		}
+		if wrapped := n > 1<<16-1; (w.high != nil) != wrapped {
+			t.Errorf("n=%d: carries %v, want a carry only past 65,535 writes", n, w.high)
+		}
+
+		w.Reset()
+		if w.high != nil {
+			t.Errorf("n=%d: Reset kept carries %v", n, w.high)
+		}
+		w.RecordWrite(1, 3)
+		if got := w.MaxFrameWrites(1); got != 1 {
+			t.Errorf("n=%d: MaxFrameWrites after Reset and one write = %d, want 1", n, got)
+		}
+	}
+}
+
 func TestRecordWritePanicsOnBadBank(t *testing.T) {
 	defer func() {
 		if recover() == nil {

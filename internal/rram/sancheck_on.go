@@ -8,22 +8,24 @@ import "repro/internal/sancheck"
 // violations (wear can only grow between Resets) are caught even when a
 // corrupted maxFrame still looks internally consistent.
 type sanState struct {
-	lastMax []uint32
+	lastMax []uint64
 }
 
 // sanCheckWrite validates the wear bookkeeping after one recorded write:
-// the frame counter must not have wrapped uint32, the bank's hottest-frame
-// counter dominates every individual frame just written, total bank writes
-// dominate the hottest frame, wear is monotone between Resets, and the
-// hottest frame stays within the configured cell endurance budget — past
-// it the linear lifetime extrapolation (paper Section V-A) is meaningless.
+// the frame's full count (carry and low word) must not have wrapped to
+// zero, as a lost or overflowing carry would make it, the bank's
+// hottest-frame counter dominates every individual frame just written,
+// total bank writes dominate the hottest frame, wear is monotone between
+// Resets, and the hottest frame stays within the configured cell
+// endurance budget — past it the linear lifetime extrapolation (paper
+// Section V-A) is meaningless.
 func (w *Wear) sanCheckWrite(bank int, frame uint64) {
 	if w.san.lastMax == nil {
-		w.san.lastMax = make([]uint32, w.cfg.Banks) // first write, before steady state
+		w.san.lastMax = make([]uint64, w.cfg.Banks) // first write, before steady state
 	}
-	n := w.frames[uint64(bank)*w.cfg.FramesPerBank+frame]
+	n := w.count(uint64(bank)*w.cfg.FramesPerBank + frame)
 	if n == 0 {
-		sancheck.Failf("rram: bank %d frame %d write counter wrapped uint32", bank, frame)
+		sancheck.Failf("rram: bank %d frame %d write counter wrapped to zero", bank, frame)
 	}
 	if n > w.maxFrame[bank] {
 		sancheck.Failf("rram: bank %d hottest-frame counter %d fell below frame %d's count %d",
@@ -34,7 +36,7 @@ func (w *Wear) sanCheckWrite(bank int, frame uint64) {
 			bank, w.san.lastMax[bank], w.maxFrame[bank])
 	}
 	w.san.lastMax[bank] = w.maxFrame[bank]
-	if uint64(w.maxFrame[bank]) > w.bankWrites[bank] {
+	if w.maxFrame[bank] > w.bankWrites[bank] {
 		sancheck.Failf("rram: bank %d hottest frame counts %d writes but the whole bank recorded only %d",
 			bank, w.maxFrame[bank], w.bankWrites[bank])
 	}
