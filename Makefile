@@ -20,10 +20,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags simcheck ./...
 
-# Domain static analysis, ten analyzers: nondeterminism, maporder,
-# statsmerge, seedflow, poolslot, allocfree, hotdiv, invariantcall, the
-# concurrency contract goroleak, plus the config-plumbing dataflow check
-# optflow. See README "Determinism invariants" and "Correctness tooling".
+# Domain static analysis, nine analyzers: nondeterminism, maporder,
+# statsmerge, seedflow, poolslot, allocfree, hotdiv, invariantcall and the
+# concurrency contract goroleak. See README "Determinism invariants" and
+# "Correctness tooling".
 lint:
 	$(GO) run ./cmd/renuca-lint ./...
 

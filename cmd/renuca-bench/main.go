@@ -30,8 +30,8 @@
 // the energy study. The Runner folds them into its memo keys so
 // differently-configured runs can never share a cached suite.
 //
-// A malformed knob, or a set knob of the removed FIFO bank-timing model,
-// exits 2 with a one-line message naming it.
+// A malformed knob, a set knob of the removed FIFO bank-timing model, or a
+// negative -workers exits 2 with a one-line message naming it.
 package main
 
 import (
@@ -46,6 +46,15 @@ import (
 	"repro/internal/experiments"
 )
 
+// checkWorkers rejects a negative -workers; zero selects RENUCA_WORKERS or
+// one worker per CPU.
+func checkWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-workers %d: must be 0 (auto) or positive", n)
+	}
+	return nil
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment id to run, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -54,6 +63,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
+	if err := checkWorkers(*workers); err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-bench:", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

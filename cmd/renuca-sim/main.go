@@ -25,11 +25,17 @@
 // -l3bank (bytes), -rob (entries), -threshold (criticality percent),
 // -intrabank-wl and -write-latency (cycles). Zero keeps the paper's
 // configuration.
+//
+// A bad flag value exits 2 with one line naming the flag: an unknown
+// -policy or -workload, -instr 0, a negative -workers, or a -write-latency
+// above 2^32-1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -58,60 +64,71 @@ func parsePolicy(s string) (nuca.Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (snuca|rnuca|private|naive|renuca)", s)
 }
 
-func main() {
-	policyFlag := flag.String("policy", "renuca", "NUCA policy: snuca|rnuca|private|naive|renuca")
-	wlFlag := flag.String("workload", "WL1", "standard workload name (WL1..WL10)")
-	appsFlag := flag.String("apps", "", "comma-separated app names, one per core (overrides -workload)")
-	instr := flag.Uint64("instr", 400_000, "measured instructions per core")
-	warmup := flag.Uint64("warmup", 150_000, "warmup instructions per core")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	threshold := flag.Float64("threshold", 10, "criticality threshold x% (default: the calibrated knee)")
-	l2 := flag.Uint64("l2", 0, "L2 size in bytes (0 = Table I 256KB)")
-	l3bank := flag.Uint64("l3bank", 0, "L3 bank size in bytes (0 = Table I 2MB)")
-	rob := flag.Int("rob", 0, "ROB entries per core (0 = Table I 128)")
-	intraWL := flag.Bool("intrabank-wl", false, "enable the i2wap-style intra-bank wear-leveling extension")
-	writeLat := flag.Uint("write-latency", 0, "ReRAM array write latency in cycles (0 = read latency)")
-	listWL := flag.Bool("list-workloads", false, "print the standard workload mixes and exit")
-	all := flag.Bool("all", false, "run all five policies on the workload, in parallel, and print a comparison")
-	workers := flag.Int("workers", 0, "max concurrent simulations with -all (0 = RENUCA_WORKERS or one per CPU)")
-	flag.Parse()
+// simArgs is renuca-sim's parsed command line: one fully-resolved
+// core.Options carrying every knob for both run modes, plus the run mode.
+type simArgs struct {
+	opts     core.Options
+	workload string // the workload's name, "custom" with -apps
+	listWL   bool
+	all      bool
+	workers  int
+}
 
-	if *listWL {
-		for _, wl := range workload.Standard(16) {
-			high, med, low := wl.Intensities()
-			fmt.Printf("%-5s (high=%d med=%d low=%d): %s\n", wl.Name, high, med, low, strings.Join(wl.Apps, " "))
-		}
-		return
+// parseArgs parses renuca-sim's arguments (without the program name). A
+// bad value is an error naming its flag. core.NewSystem and core.RunUnit
+// translate the Options, so a knob plumbed there is live here once a flag
+// sets it; TestFlagsSetEveryOption checks that the flags reach every field.
+func parseArgs(args []string) (simArgs, error) {
+	fs := flag.NewFlagSet("renuca-sim", flag.ContinueOnError)
+	policyFlag := fs.String("policy", "renuca", "NUCA policy: snuca|rnuca|private|naive|renuca")
+	wlFlag := fs.String("workload", "WL1", "standard workload name (WL1..WL10)")
+	appsFlag := fs.String("apps", "", "comma-separated app names, one per core (overrides -workload)")
+	instr := fs.Uint64("instr", 400_000, "measured instructions per core")
+	warmup := fs.Uint64("warmup", 150_000, "warmup instructions per core")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	threshold := fs.Float64("threshold", 10, "criticality threshold x% (default: the calibrated knee)")
+	l2 := fs.Uint64("l2", 0, "L2 size in bytes (0 = Table I 256KB)")
+	l3bank := fs.Uint64("l3bank", 0, "L3 bank size in bytes (0 = Table I 2MB)")
+	rob := fs.Int("rob", 0, "ROB entries per core (0 = Table I 128)")
+	intraWL := fs.Bool("intrabank-wl", false, "enable the i2wap-style intra-bank wear-leveling extension")
+	writeLat := fs.Uint64("write-latency", 0, "ReRAM array write latency in cycles (0 = read latency)")
+	listWL := fs.Bool("list-workloads", false, "print the standard workload mixes and exit")
+	all := fs.Bool("all", false, "run all five policies on the workload, in parallel, and print a comparison")
+	workers := fs.Int("workers", 0, "max concurrent simulations with -all (0 = RENUCA_WORKERS or one per CPU)")
+	if err := fs.Parse(args); err != nil {
+		return simArgs{}, err
 	}
-
+	a := simArgs{workload: *wlFlag, listWL: *listWL, all: *all, workers: *workers}
+	if a.listWL {
+		return a, nil
+	}
+	switch {
+	case *instr == 0:
+		return a, errors.New("-instr 0: must be positive")
+	case *workers < 0:
+		return a, fmt.Errorf("-workers %d: must be 0 (auto) or positive", *workers)
+	case *writeLat > math.MaxUint32:
+		return a, fmt.Errorf("-write-latency %d: exceeds the 32-bit maximum %d", *writeLat, uint32(math.MaxUint32))
+	}
 	policy, err := parsePolicy(*policyFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-		os.Exit(1)
+		return a, fmt.Errorf("-policy: %w", err)
 	}
 
-	var apps []string
-	wlName := *wlFlag
+	o := core.DefaultOptions(policy)
 	if *appsFlag != "" {
-		apps = strings.Split(*appsFlag, ",")
-		for i := range apps {
-			apps[i] = strings.TrimSpace(apps[i])
+		o.Apps = strings.Split(*appsFlag, ",")
+		for i := range o.Apps {
+			o.Apps[i] = strings.TrimSpace(o.Apps[i])
 		}
-		wlName = "custom"
+		a.workload = "custom"
 	} else {
 		wl, err := workload.ByName(*wlFlag, 16)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
+			return a, fmt.Errorf("-workload: %w", err)
 		}
-		apps = wl.Apps
+		o.Apps = wl.Apps
 	}
-
-	// One fully-resolved Options carries every knob for both run modes;
-	// core.NewSystem/core.RunUnit translate it, so a new knob plumbed
-	// there is automatically live here (optflow enforces this).
-	o := core.DefaultOptions(policy)
-	o.Apps = apps
 	o.InstrPerCore = *instr
 	o.Warmup = *warmup
 	o.Seed = *seed
@@ -121,9 +138,31 @@ func main() {
 	o.ROBEntries = *rob
 	o.IntraBankWL = *intraWL
 	o.ReRAMWriteLatency = uint32(*writeLat)
+	a.opts = o
+	return a, nil
+}
 
-	if *all {
-		runAllPolicies(wlName, o, *workers)
+func main() {
+	a, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
+		os.Exit(2)
+	}
+
+	if a.listWL {
+		for _, wl := range workload.Standard(16) {
+			high, med, low := wl.Intensities()
+			fmt.Printf("%-5s (high=%d med=%d low=%d): %s\n", wl.Name, high, med, low, strings.Join(wl.Apps, " "))
+		}
+		return
+	}
+
+	o := a.opts
+	if a.all {
+		runAllPolicies(a.workload, o, a.workers)
 		return
 	}
 
@@ -132,21 +171,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
 		os.Exit(1)
 	}
-	res, err := s.RunMeasured(*warmup, *instr)
+	res, err := s.RunMeasured(o.Warmup, o.InstrPerCore)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
 		os.Exit(1)
 	}
 
 	fmt.Printf("policy=%s instr/core=%d cycles=%d mean IPC=%.3f min lifetime=%.2fy write imbalance=%.2f\n\n",
-		res.Policy, *instr, res.MeasuredCycles, res.MeanIPC, res.MinLifetime, res.WriteImbalance)
+		res.Policy, o.InstrPerCore, res.MeasuredCycles, res.MeanIPC, res.MinLifetime, res.WriteImbalance)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "core\tapp\tIPC\tWPKI\tMPKI\tTLBmiss\tnoncrit-loads\tpred-acc")
-	for i := range apps {
+	for i := range o.Apps {
 		ctr := s.Counters(i)
 		fmt.Fprintf(w, "%d\t%s\t%.3f\t%.2f\t%.2f\t%d\t%.1f%%\t%.1f%%\n",
-			i, apps[i], res.IPC[i], res.WPKI[i], res.MPKI[i], ctr.TLBMisses,
+			i, o.Apps[i], res.IPC[i], res.WPKI[i], res.MPKI[i], ctr.TLBMisses,
 			100*res.NonCriticalLoadFrac[i], 100*res.PredictorAccuracy[i])
 	}
 	w.Flush()
@@ -177,7 +216,7 @@ func main() {
 	fmt.Printf("MESI: readmiss=%d writemiss=%d inval=%d shootdowns=%d\n",
 		cs.ReadMisses, cs.WriteMisses, cs.Invalidations, cs.Shootdowns)
 	var tlbMiss, tlbLost uint64
-	for i := range apps {
+	for i := range o.Apps {
 		ts := s.TLB(i).Stats()
 		tlbMiss += ts.Misses
 		tlbLost += ts.LostMappingBits

@@ -35,15 +35,17 @@ type Params struct {
 	// CharInstr/CharWarmup drive the single-core characterisation runs
 	// (Table II, Figures 2, 5, 7, 8, 9), which are cheap enough to run
 	// much longer — long windows matter there because write-backs lag
-	// fills by the L2 turnover time.
-	CharInstr  uint64 //lint:allow optflow consumed by the single-core characterisation runs (RunMeasured), not Options construction
-	CharWarmup uint64 //lint:allow optflow consumed by the single-core characterisation runs (RunMeasured), not Options construction
+	// fills by the L2 turnover time. They are consumed by those runs'
+	// RunMeasured calls, not by Options construction.
+	CharInstr  uint64
+	CharWarmup uint64
 	Seed       uint64
 	// Workers bounds how many simulations run concurrently across ALL
 	// experiments a Runner executes (suites, characterisation, sweeps).
 	// 0 means auto: RENUCA_WORKERS if set, else one worker per CPU.
-	// Results are byte-identical for every worker count.
-	Workers int //lint:allow optflow concurrency cap only: byte-identical results for every worker count, never reaches Options
+	// It is a concurrency cap only: results are byte-identical for every
+	// worker count, and it never reaches Options.
+	Workers int
 	// The remaining fields override the corresponding core.Options
 	// hardware knobs in every simulation the Runner builds Options for:
 	// the policy suites, the ablations and the energy study (zero = keep

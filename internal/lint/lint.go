@@ -1,6 +1,6 @@
 // Package lint implements renuca-lint, the project's domain-specific static
-// analysis. Ten analyzers built on go/ast and go/types only enforce the
-// simulator's four contracts. The scientific contract — identical results
+// analysis. Nine analyzers built on go/ast and go/types only enforce the
+// simulator's three contracts. The scientific contract — identical results
 // for identical (seed, config) regardless of wall-clock, worker count, or
 // map iteration order:
 //
@@ -32,15 +32,6 @@
 //
 //   - goroleak: every goroutine launch carries a visible join (WaitGroup
 //     Add/Done pairing, owned done-channel close, or result send).
-//
-// And the config-plumbing contract — every result is a pure function of a
-// fully-resolved core.Options + seed, so every knob must flow end to end
-// (built on the whole-program field-provenance engine in fieldflow.go):
-//
-//   - optflow: exported core.Options / experiments.Params fields must be
-//     consumed by simulator construction, settable from a CLI flag or env
-//     var in the command binaries, and reach every unit intact (no lossy
-//     Options literal in SuiteUnits/RunUnit).
 //
 // Intentional exceptions are annotated in place:
 //
@@ -116,7 +107,7 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all ten analyzers.
+// NewAnalyzers returns fresh instances of all nine analyzers.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		newNondeterminism(),
@@ -128,7 +119,6 @@ func NewAnalyzers() []*Analyzer {
 		newHotDiv(),
 		newInvariantCall(),
 		newGoroLeak(),
-		newOptFlow(),
 	}
 }
 

@@ -112,18 +112,11 @@ func collectWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// runFixture executes one analyzer over its fixture corpus and matches the
-// resulting diagnostics against the want comments: every want must be hit,
-// and no diagnostic may lack a want.
-func runFixture(t *testing.T, name string) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadFixture(t, l, name)
-	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{analyzerByName(t, name)})
-	wants := collectWants(t, filepath.Join("testdata", name))
-
+// matchWants checks diagnostics against want comments in both directions:
+// every want must be hit, and no diagnostic may lack a want. Fixture file
+// base names must be unique within one fixture (matching is by base name).
+func matchWants(t *testing.T, label string, diags []Diagnostic, wants []*want) {
+	t.Helper()
 	for _, d := range diags {
 		base := filepath.Base(d.File)
 		found := false
@@ -140,9 +133,34 @@ func runFixture(t *testing.T, name string) {
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s:%d: expected a %s diagnostic matching %q, got none", w.file, w.line, name, w.pattern)
+			t.Errorf("%s:%d: expected a %s diagnostic matching %q, got none", w.file, w.line, label, w.pattern)
 		}
 	}
+}
+
+// runFixture executes one analyzer over its fixture corpus and matches the
+// resulting diagnostics against the want comments.
+func runFixture(t *testing.T, name string) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := loadFixture(t, l, name)
+	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{analyzerByName(t, name)})
+	matchWants(t, name, diags, collectWants(t, filepath.Join("testdata", name)))
+}
+
+// runAllowFixture runs the FULL analyzer roster over a single-package
+// fixture: the allow-hardening diagnostics (unknown analyzer, stale allow)
+// come from the runner itself, not from any one analyzer.
+func runAllowFixture(t *testing.T, name string) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := loadFixture(t, l, name)
+	diags := RunAnalyzers(l.Fset, []*Package{pkg}, NewAnalyzers())
+	matchWants(t, name, diags, collectWants(t, filepath.Join("testdata", name)))
 }
 
 func TestNondeterminismFixture(t *testing.T) { runFixture(t, "nondeterminism") }
@@ -154,6 +172,8 @@ func TestAllocFreeFixture(t *testing.T)      { runFixture(t, "allocfree") }
 func TestHotDivFixture(t *testing.T)         { runFixture(t, "hotdiv") }
 func TestInvariantCallFixture(t *testing.T)  { runFixture(t, "invariantcall") }
 func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
+func TestUnknownAllowFixture(t *testing.T)   { runAllowFixture(t, "allowunknown") }
+func TestStaleAllowFixture(t *testing.T)     { runAllowFixture(t, "allowstale") }
 
 // TestLoaderSkipsTaggedOutFiles pins the loader's build-constraint
 // filtering: the buildtag fixture's two files declare the same names under
@@ -232,8 +252,7 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerRoster pins the analyzer set the documentation promises.
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,invariantcall," +
-		"goroleak,optflow"
+	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,invariantcall,goroleak"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)
 	}
@@ -250,5 +269,26 @@ func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{Analyzer: "maporder", File: "x.go", Line: 3, Col: 7, Message: "m"}
 	if got, want := d.String(), "x.go:3:7: [maporder] m"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// BenchmarkLintRepo measures one full lint pass — parse and type-check the
+// whole module (including GOROOT source for stdlib imports), then run all
+// nine analyzers. This is the cost `make lint` and the CI gate pay.
+func BenchmarkLintRepo(b *testing.B) {
+	root := moduleRoot(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l, err := NewLoader(root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkgs, err := l.LoadAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if diags := RunAnalyzers(l.Fset, pkgs, NewAnalyzers()); len(diags) != 0 {
+			b.Fatalf("repo not clean: %v", diags)
+		}
 	}
 }
