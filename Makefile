@@ -1,11 +1,11 @@
 # Verification targets. `make check` is the full tier-1 + race gate; the
 # parallel harness (internal/pool, the experiment Runner's fan-out) must
 # stay race-clean, so the race detector is part of the standard gate, and
-# renuca-lint enforces the determinism/seed/stats invariants statically.
+# renuca-lint enforces the determinism/stats/goroutine invariants statically.
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-self test race simcheck check bench bench-archive bench-full profile
+.PHONY: build fmt vet lint test race simcheck check bench bench-archive bench-full profile
 
 build:
 	$(GO) build ./...
@@ -20,20 +20,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags simcheck ./...
 
-# Domain static analysis, nine analyzers: nondeterminism, maporder,
-# statsmerge, seedflow, poolslot, allocfree, hotdiv, invariantcall and the
-# concurrency contract goroleak. See README "Determinism invariants" and
-# "Correctness tooling".
+# Domain static analysis over the whole module, seven analyzers:
+# nondeterminism, maporder, statsmerge, poolslot, allocfree, hotdiv and
+# invariantcall. Their fixture tests run under `make test`. See README
+# "Determinism invariants" and "Correctness tooling".
 lint:
-	$(GO) run ./cmd/renuca-lint ./...
-
-# The lint self-test: fixture `want` harness for every analyzer, the allow
-# hardening (unknown/stale) fixtures, the pinned roster, and the -json
-# schema gate.
-lint-self:
-	$(GO) test ./internal/lint/ ./cmd/renuca-lint/ -short
-	$(GO) run ./cmd/renuca-lint -json ./... > /tmp/renuca-lint.json
-	$(GO) run ./cmd/renuca-lint -check-json < /tmp/renuca-lint.json
+	$(GO) run ./cmd/renuca-lint
 
 test:
 	$(GO) test ./...

@@ -1,99 +1,38 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/lint"
 )
 
-// TestGithubAnnotation pins the workflow-command format and its escaping:
-// the runner parses these lines byte-by-byte, so %, CR, LF must be escaped
-// everywhere and : , additionally inside property values.
-func TestGithubAnnotation(t *testing.T) {
-	d := lint.Diagnostic{
-		Analyzer: "maporder",
-		File:     "internal/x.go",
-		Line:     3,
-		Col:      7,
-		Message:  "keys collected but never sorted",
-	}
-	want := "::error file=internal/x.go,line=3,col=7,title=renuca-lint (maporder)::keys collected but never sorted"
-	if got := githubAnnotation(d); got != want {
-		t.Errorf("githubAnnotation = %q, want %q", got, want)
-	}
-
-	d.File = "weird,file:name.go"
-	d.Message = "50% done\nsecond line"
-	want = "::error file=weird%2Cfile%3Aname.go,line=3,col=7,title=renuca-lint (maporder)::50%25 done%0Asecond line"
-	if got := githubAnnotation(d); got != want {
-		t.Errorf("escaped githubAnnotation = %q, want %q", got, want)
-	}
-}
-
-// TestFilterToArgs pins the package-path argument semantics: "./..." (or no
-// argument) keeps everything, a package directory keeps only its own files,
-// and a /... suffix keeps the whole subtree.
-func TestFilterToArgs(t *testing.T) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(rel string) lint.Diagnostic {
-		return lint.Diagnostic{File: filepath.Join(cwd, filepath.FromSlash(rel))}
-	}
-	diags := []lint.Diagnostic{
-		mk("internal/experiments/exp.go"),
-		mk("internal/core/core.go"),
-		mk("cmd/renuca-sim/main.go"),
-	}
-
-	for _, args := range [][]string{nil, {"./..."}, {"..."}} {
-		if got := filterToArgs(diags, args, cwd); len(got) != len(diags) {
-			t.Errorf("filterToArgs(%v) kept %d diagnostics, want %d", args, len(got), len(diags))
+// TestRunUsage pins the command-line surface: -list is the only flag and
+// there are no positional arguments, so a stale invocation (a package
+// pattern, or a removed flag) exits 2 with the usage line instead of being
+// silently ignored.
+func TestRunUsage(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		code      int
+		stdoutHas string
+	}{
+		{args: []string{"-list"}, code: 0, stdoutHas: "poolslot"},
+		{args: []string{"./..."}, code: 2},
+		{args: []string{"-list", "./internal/sim"}, code: 2},
+		{args: []string{"-json"}, code: 2},
+		{args: []string{"-enable", "maporder"}, code: 2},
+		{args: []string{"-github", "./..."}, code: 2},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code {
+			t.Errorf("run(%q) = %d, want %d (stderr %q)", c.args, code, c.code, stderr.String())
 		}
-	}
-	if got := filterToArgs(diags, []string{"./internal/experiments"}, cwd); len(got) != 1 ||
-		filepath.Base(got[0].File) != "exp.go" {
-		t.Errorf("package-dir filter kept %v, want just exp.go", got)
-	}
-	if got := filterToArgs(diags, []string{"./internal/..."}, cwd); len(got) != 2 {
-		t.Errorf("subtree filter kept %d diagnostics, want 2", len(got))
-	}
-	if got := filterToArgs(diags, []string{"./internal/experiments", "./cmd/renuca-sim"}, cwd); len(got) != 2 {
-		t.Errorf("two-dir filter kept %d diagnostics, want 2", len(got))
-	}
-}
-
-// TestValidateJSON pins the -check-json schema gate: the exact key set and
-// types of the -json output, so a drifted field name fails loudly in CI.
-func TestValidateJSON(t *testing.T) {
-	good := []string{
-		`[]`,
-		`[{"analyzer":"maporder","file":"x.go","line":3,"col":7,"message":"m"}]`,
-	}
-	for _, doc := range good {
-		if err := validateJSON(strings.NewReader(doc)); err != nil {
-			t.Errorf("validateJSON(%s) = %v, want nil", doc, err)
+		if c.code == 2 && !strings.Contains(stderr.String(), usage) {
+			t.Errorf("run(%q): stderr %q lacks the usage line", c.args, stderr.String())
 		}
-	}
-
-	bad := map[string]string{
-		`{}`: "not an array",
-		`[{"analyzer":"a","file":"f","line":1,"col":1}]`:                            "missing message",
-		`[{"analyzer":"a","file":"f","line":1,"col":1,"message":"m","extra":true}]`: "unknown key",
-		`[{"analyzer":"","file":"f","line":1,"col":1,"message":"m"}]`:               "empty analyzer",
-		`[{"analyzer":"a","file":"f","line":0,"col":1,"message":"m"}]`:              "line below 1",
-		`[{"analyzer":"a","file":"f","line":1.5,"col":1,"message":"m"}]`:            "fractional line",
-		`[{"analyzer":"a","file":"f","line":"3","col":1,"message":"m"}]`:            "string line",
-		`[{"analyzer":7,"file":"f","line":1,"col":1,"message":"m"}]`:                "numeric analyzer",
-		`[] []`: "trailing data",
-	}
-	for doc, why := range bad {
-		if err := validateJSON(strings.NewReader(doc)); err == nil {
-			t.Errorf("validateJSON accepted %s (%s), want an error", doc, why)
+		if c.code == 0 && !strings.Contains(stdout.String(), c.stdoutHas) {
+			t.Errorf("run(%q): stdout %q lacks %q", c.args, stdout.String(), c.stdoutHas)
 		}
 	}
 }

@@ -1,19 +1,17 @@
 // Package lint implements renuca-lint, the project's domain-specific static
-// analysis. Nine analyzers built on go/ast and go/types only enforce the
-// simulator's three contracts. The scientific contract — identical results
-// for identical (seed, config) regardless of wall-clock, worker count, or
-// map iteration order:
+// analysis. Seven analyzers built on go/ast and go/types only enforce the
+// simulator's contracts. The scientific contract — identical results for
+// identical (seed, config) regardless of wall-clock, worker count, or map
+// iteration order:
 //
-//   - nondeterminism: wall-clock reads (time.Now, time.Since), global
-//     math/rand draws, and fixed-literal rand sources anywhere in the tree;
+//   - nondeterminism: wall-clock reads (time.Now, time.Since) and every
+//     package-level math/rand call, anywhere in the tree;
 //   - maporder: order-dependent effects (slice appends, formatted output,
 //     float accumulation) inside `range` over a map;
 //   - statsmerge: exported numeric counters on Stats-like structs that no
 //     merge/snapshot/render code ever reads;
-//   - seedflow: rand sources in simulation packages whose seed does not
-//     data-flow from core.DeriveSeed or a caller-provided parameter;
-//   - poolslot: bare `go` statements in internal/experiments and
-//     internal/core that bypass internal/pool's bounded slots.
+//   - poolslot: `go` statements outside internal/pool, whose Map is the
+//     one place goroutines are launched, bounded and joined.
 //
 // And the performance/correctness contract — hot paths stay allocation- and
 // divide-free, and the runtime invariants that validate the paper's figures
@@ -26,12 +24,6 @@
 //   - invariantcall: exported state-mutating methods in the invariant-
 //     bearing packages (coherence, cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
-//
-// And the concurrency-safety contract — the worker pool cannot leak
-// goroutines:
-//
-//   - goroleak: every goroutine launch carries a visible join (WaitGroup
-//     Add/Done pairing, owned done-channel close, or result send).
 //
 // Intentional exceptions are annotated in place:
 //
@@ -54,12 +46,22 @@ import (
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
+}
+
+// diagnosticAt builds the analyzer's diagnostic at pos.
+func diagnosticAt(analyzer string, pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{
+		Analyzer: analyzer,
+		File:     pos.Filename,
+		Line:     pos.Line,
+		Col:      pos.Column,
+		Message:  fmt.Sprintf(format, args...),
+	}
 }
 
 func (d Diagnostic) String() string {
@@ -77,23 +79,7 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	p.report(Diagnostic{
-		Analyzer: p.analyzer,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// InSimPackage reports whether the package is part of the simulation core,
-// where the seed-derivation discipline is mandatory (everything under
-// internal/ except the linter itself).
-func (p *Pass) InSimPackage() bool {
-	path := p.Pkg.Path
-	return strings.Contains(path, "/internal/") && !strings.Contains(path, "/internal/lint")
+	p.report(diagnosticAt(p.analyzer, p.Fset.Position(pos), format, args...))
 }
 
 // Analyzer is one named check. Run is invoked once per package; Finish,
@@ -107,18 +93,16 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// NewAnalyzers returns fresh instances of all nine analyzers.
+// NewAnalyzers returns fresh instances of all seven analyzers.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		newNondeterminism(),
 		newMapOrder(),
 		newStatsMerge(),
-		newSeedFlow(),
 		newPoolSlot(),
 		newAllocFree(),
 		newHotDiv(),
 		newInvariantCall(),
-		newGoroLeak(),
 	}
 }
 
@@ -159,14 +143,7 @@ func collectAllows(fset *token.FileSet, pkgs []*Package) (map[allowKey]map[strin
 	allows := make(map[allowKey]map[string]*allowEntry)
 	var bad []Diagnostic
 	badAt := func(pos token.Position, format string, args ...any) {
-		bad = append(bad, Diagnostic{
-			Analyzer: "allow",
-			Pos:      pos,
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  fmt.Sprintf(format, args...),
-		})
+		bad = append(bad, diagnosticAt("allow", pos, format, args...))
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -243,8 +220,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 		}
 	}
 	// Stale detection is scoped to the analyzers that actually ran: a
-	// partial -enable run must not condemn allows for the analyzers it
-	// skipped.
+	// fixture run of one analyzer must not condemn allows for the others.
 	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -269,14 +245,8 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 		for _, name := range names {
 			entry := set[name]
 			if ran[name] && !entry.used {
-				kept = append(kept, Diagnostic{
-					Analyzer: "allow",
-					Pos:      entry.pos,
-					File:     entry.pos.Filename,
-					Line:     entry.pos.Line,
-					Col:      entry.pos.Column,
-					Message:  fmt.Sprintf("stale //lint:allow %s: suppressed nothing in this run; remove it", name),
-				})
+				kept = append(kept, diagnosticAt("allow", entry.pos,
+					"stale //lint:allow %s: suppressed nothing in this run; remove it", name))
 			}
 		}
 	}

@@ -6,26 +6,32 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t testing.TB) string {
-	t.Helper()
+// sharedLoader is the test binary's one Loader. Every test that loads code
+// shares it, so the GOROOT source behind stdlib imports is type-checked
+// once per binary rather than once per test.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
 	dir, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	root, err := FindModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(root)
+})
+
+func loader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
+	return l
 }
 
 // want is one expected diagnostic, parsed from a `// want `+"`pattern`"
@@ -63,6 +69,9 @@ func loadFixture(t *testing.T, l *Loader, name string) *Package {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -139,14 +148,14 @@ func matchWants(t *testing.T, label string, diags []Diagnostic, wants []*want) {
 }
 
 // runFixture executes one analyzer over its fixture corpus and matches the
-// resulting diagnostics against the want comments.
+// resulting diagnostics against the want comments. The analyzer is named
+// after the fixture's first path element; a fixture subdirectory
+// ("poolslot/pool") is a second package for the same analyzer.
 func runFixture(t *testing.T, name string) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loader(t)
 	pkg := loadFixture(t, l, name)
-	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{analyzerByName(t, name)})
+	analyzer, _, _ := strings.Cut(name, "/")
+	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{analyzerByName(t, analyzer)})
 	matchWants(t, name, diags, collectWants(t, filepath.Join("testdata", name)))
 }
 
@@ -154,10 +163,7 @@ func runFixture(t *testing.T, name string) {
 // fixture: the allow-hardening diagnostics (unknown analyzer, stale allow)
 // come from the runner itself, not from any one analyzer.
 func runAllowFixture(t *testing.T, name string) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loader(t)
 	pkg := loadFixture(t, l, name)
 	diags := RunAnalyzers(l.Fset, []*Package{pkg}, NewAnalyzers())
 	matchWants(t, name, diags, collectWants(t, filepath.Join("testdata", name)))
@@ -166,25 +172,26 @@ func runAllowFixture(t *testing.T, name string) {
 func TestNondeterminismFixture(t *testing.T) { runFixture(t, "nondeterminism") }
 func TestMapOrderFixture(t *testing.T)       { runFixture(t, "maporder") }
 func TestStatsMergeFixture(t *testing.T)     { runFixture(t, "statsmerge") }
-func TestSeedFlowFixture(t *testing.T)       { runFixture(t, "seedflow") }
-func TestPoolSlotFixture(t *testing.T)       { runFixture(t, "poolslot") }
 func TestAllocFreeFixture(t *testing.T)      { runFixture(t, "allocfree") }
 func TestHotDivFixture(t *testing.T)         { runFixture(t, "hotdiv") }
 func TestInvariantCallFixture(t *testing.T)  { runFixture(t, "invariantcall") }
-func TestGoroLeakFixture(t *testing.T)       { runFixture(t, "goroleak") }
 func TestUnknownAllowFixture(t *testing.T)   { runAllowFixture(t, "allowunknown") }
 func TestStaleAllowFixture(t *testing.T)     { runAllowFixture(t, "allowstale") }
+
+// TestPoolSlotFixture runs poolslot over a package outside internal/pool,
+// where every non-test `go` statement is reported, and over one loaded as
+// internal/pool, where none is.
+func TestPoolSlotFixture(t *testing.T) {
+	runFixture(t, "poolslot")
+	runFixture(t, "poolslot/pool")
+}
 
 // TestLoaderSkipsTaggedOutFiles pins the loader's build-constraint
 // filtering: the buildtag fixture's two files declare the same names under
 // //go:build simcheck and !simcheck, so loading only type-checks when the
 // loader picks exactly the file set `go build` (no tags) would compile.
 func TestLoaderSkipsTaggedOutFiles(t *testing.T) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadFixture(t, l, "buildtag")
+	pkg := loadFixture(t, loader(t), "buildtag")
 	if len(pkg.Files) != 1 {
 		t.Fatalf("loaded %d files, want 1 (the !simcheck variant only)", len(pkg.Files))
 	}
@@ -200,10 +207,7 @@ func TestLoaderSkipsTaggedOutFiles(t *testing.T) {
 // TestMalformedAllow checks that an allow annotation without a reason is
 // itself reported rather than silently honoured.
 func TestMalformedAllow(t *testing.T) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loader(t)
 	pkg := loadFixture(t, l, "allow")
 	diags := RunAnalyzers(l.Fset, []*Package{pkg}, NewAnalyzers())
 	var gotMalformed, gotSuppressedAnyway bool
@@ -232,10 +236,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module against GOROOT source; skipped in -short")
 	}
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loader(t)
 	pkgs, err := l.LoadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestRepoIsClean(t *testing.T) {
 // TestAnalyzerRoster pins the analyzer set the documentation promises.
 func TestAnalyzerRoster(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	want := "nondeterminism,maporder,statsmerge,seedflow,poolslot,allocfree,hotdiv,invariantcall,goroleak"
+	want := "nondeterminism,maporder,statsmerge,poolslot,allocfree,hotdiv,invariantcall"
 	if got != want {
 		t.Errorf("analyzer roster %q, want %q", got, want)
 	}
@@ -274,9 +275,17 @@ func TestDiagnosticString(t *testing.T) {
 
 // BenchmarkLintRepo measures one full lint pass — parse and type-check the
 // whole module (including GOROOT source for stdlib imports), then run all
-// nine analyzers. This is the cost `make lint` and the CI gate pay.
+// seven analyzers. This is the cost `make lint` and the CI gate pay, so
+// every iteration builds its own Loader rather than sharing the tests' one.
 func BenchmarkLintRepo(b *testing.B) {
-	root := moduleRoot(b)
+	wd, err := os.Getwd()
+	if err != nil {
+		b.Fatal(err)
+	}
+	root, err := FindModuleRoot(wd)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l, err := NewLoader(root)

@@ -50,6 +50,20 @@ type Loader struct {
 	loading map[string]bool           // cycle guard
 }
 
+// FindModuleRoot walks up from dir to the directory holding go.mod.
+func FindModuleRoot(dir string) (string, error) {
+	for d := dir; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
+		}
+		d = parent
+	}
+}
+
 // NewLoader builds a Loader for the module rooted at dir (the directory
 // holding go.mod).
 func NewLoader(dir string) (*Loader, error) {

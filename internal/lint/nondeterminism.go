@@ -5,37 +5,19 @@ import (
 	"go/types"
 )
 
-// randConstructors are math/rand package-level functions that build a
-// generator rather than draw from the process-global source. Their seeds
-// are policed separately (constant seeds here, full data-flow in seedflow).
-var randConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
-}
-
-// seededConstructors take the seed material directly as arguments.
-var seededConstructors = map[string]bool{
-	"NewSource":  true,
-	"NewPCG":     true,
-	"NewChaCha8": true,
-}
-
-func isRandPkg(path string) bool {
-	return path == "math/rand" || path == "math/rand/v2"
-}
-
-// newNondeterminism flags wall-clock reads and ambient randomness: the two
-// classic ways a simulator's output stops being a pure function of
-// (seed, config). It applies to every package — harness timing in cmd/ and
-// benchmarks is legitimate but must be annotated, so readers can tell
-// deliberate wall-clock reporting from an accidental hot-path leak.
+// newNondeterminism flags wall-clock reads and math/rand: the two classic
+// ways a simulator's output stops being a pure function of (seed, config).
+// Every package-level math/rand (or math/rand/v2) call is reported — draws
+// from the process-global source and generator constructors alike — since
+// the simulator seeds its own generators (trace's xorshift64*, workload's
+// splitmix64) from core.DeriveSeed and needs nothing from math/rand. It
+// applies to every package: harness timing in cmd/ and benchmarks is
+// legitimate but must be annotated, so readers can tell deliberate
+// wall-clock reporting from an accidental hot-path leak.
 func newNondeterminism() *Analyzer {
 	a := &Analyzer{
 		Name: "nondeterminism",
-		Doc:  "flags time.Now/time.Since, global math/rand draws, and fixed-literal rand sources",
+		Doc:  "flags time.Now/time.Since and every package-level math/rand call",
 	}
 	a.Run = func(p *Pass) {
 		for _, f := range p.Pkg.Files {
@@ -48,33 +30,18 @@ func newNondeterminism() *Analyzer {
 				if fn == nil || fn.Pkg() == nil {
 					return true
 				}
-				sig, _ := fn.Type().(*types.Signature)
-				isPkgLevel := sig != nil && sig.Recv() == nil
-				switch {
-				case fn.Pkg().Path() == "time" && isPkgLevel && (fn.Name() == "Now" || fn.Name() == "Since"):
+				if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
+					return true
+				}
+				switch path := fn.Pkg().Path(); {
+				case path == "time" && (fn.Name() == "Now" || fn.Name() == "Since"):
 					p.Reportf(call.Pos(), "time.%s reads the wall clock; results must depend only on (seed, config) — use the simulated cycle count, or annotate intentional harness timing with //lint:allow nondeterminism <reason>", fn.Name())
-				case isRandPkg(fn.Pkg().Path()) && isPkgLevel && !randConstructors[fn.Name()]:
-					p.Reportf(call.Pos(), "%s.%s draws from the process-global rand source; construct a generator seeded via core.DeriveSeed instead", fn.Pkg().Name(), fn.Name())
-				case isRandPkg(fn.Pkg().Path()) && isPkgLevel && seededConstructors[fn.Name()] && allArgsConstant(p.Pkg.Info, call):
-					p.Reportf(call.Pos(), "rand.%s with a fixed literal seed bypasses the seed-derivation discipline; derive the seed with core.DeriveSeed", fn.Name())
+				case path == "math/rand" || path == "math/rand/v2":
+					p.Reportf(call.Pos(), "%s.%s: math/rand is outside the seed-derivation tree; draw from a generator seeded via core.DeriveSeed", fn.Pkg().Name(), fn.Name())
 				}
 				return true
 			})
 		}
 	}
 	return a
-}
-
-// allArgsConstant reports whether every argument of call is a compile-time
-// constant (literals, consts, and constant arithmetic/conversions).
-func allArgsConstant(info *types.Info, call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	for _, arg := range call.Args {
-		if tv, ok := info.Types[arg]; !ok || tv.Value == nil {
-			return false
-		}
-	}
-	return true
 }

@@ -5,25 +5,24 @@ import (
 	"strings"
 )
 
-// newPoolSlot keeps concurrency in the experiment layer on the bounded
-// pool. pool.Map caps the simulations of one call at the pool size, so the
-// cap holds only while Map calls never overlap; a bare `go` statement in
-// internal/experiments or internal/core could overlap them (unbounded
-// concurrent simulations, unbounded peak memory) and bypasses Map's
-// lowest-index-first-error cancellation. Run independent work as one
-// pool.Map batch; code that genuinely must hand-roll its goroutines
-// documents why via //lint:allow poolslot <reason>.
+// newPoolSlot keeps every goroutine in internal/pool. pool.Map is the one
+// place that launches goroutines, and it joins them before it returns (its
+// runtime test pins that). A `go` statement anywhere else could overlap
+// Map calls (unbounded concurrent simulations, unbounded peak memory),
+// bypass Map's lowest-index-first-error cancellation, or outlive its
+// caller. Run independent work as one pool.Map batch; code that genuinely
+// must hand-roll its goroutines documents why via
+// //lint:allow poolslot <reason>.
 //
 // _test.go files are exempt: tests hammer the Runner from raw goroutines
 // on purpose.
 func newPoolSlot() *Analyzer {
 	a := &Analyzer{
 		Name: "poolslot",
-		Doc:  "bare go statements in internal/experiments and internal/core must route through internal/pool",
+		Doc:  "go statements outside internal/pool must route through pool.Map",
 	}
 	a.Run = func(p *Pass) {
-		path := strings.TrimSuffix(p.Pkg.Path, ".test")
-		if !strings.HasSuffix(path, "/internal/experiments") && !strings.HasSuffix(path, "/internal/core") {
+		if strings.HasSuffix(strings.TrimSuffix(p.Pkg.Path, ".test"), "/internal/pool") {
 			return
 		}
 		for _, f := range p.Pkg.Files {
@@ -32,7 +31,7 @@ func newPoolSlot() *Analyzer {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if gs, ok := n.(*ast.GoStmt); ok {
-					p.Reportf(gs.Pos(), "bare goroutine bypasses internal/pool's bounded slots and first-error cancellation; run the work as one pool.Map batch")
+					p.Reportf(gs.Pos(), "bare goroutine bypasses internal/pool's bounded workers, join and first-error cancellation; run the work as one pool.Map batch")
 				}
 				return true
 			})

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -11,7 +10,7 @@ import (
 
 // newStatsMerge is the whole-program counter-completeness check: every
 // exported numeric field of a Stats-like struct (a struct named Stats or
-// ending in Stats/Counters/Counts/Result, or any struct in internal/stats)
+// ending in Stats/Counters/Counts, or any struct in internal/stats)
 // must be read somewhere — by a merge, snapshot, render, or reporting
 // function. A counter that is incremented but never read has silently
 // dropped out of every report, which is how a metric regression hides.
@@ -91,15 +90,9 @@ func newStatsMerge() *Analyzer {
 		sort.Strings(keys)
 		for _, key := range keys {
 			d := declared[key]
-			report(Diagnostic{
-				Analyzer: a.Name,
-				Pos:      d.pos,
-				File:     d.pos.Filename,
-				Line:     d.pos.Line,
-				Col:      d.pos.Column,
-				Message: fmt.Sprintf("counter %s.%s is never read by any merge/snapshot/render code; it silently drops out of every report (wire it into the reporting path or remove it)",
-					d.structName, d.fieldName),
-			})
+			report(diagnosticAt(a.Name, d.pos,
+				"counter %s.%s is never read by any merge/snapshot/render code; it silently drops out of every report (wire it into the reporting path or remove it)",
+				d.structName, d.fieldName))
 		}
 	}
 	return a
@@ -117,8 +110,8 @@ func statsLike(pkgPath, name string) bool {
 		strings.HasSuffix(name, "Counts")
 }
 
-// numericCarrier reports whether t carries numeric data the reflection
-// merge/snapshot net would traverse: a numeric basic type, a slice or
+// numericCarrier reports whether t carries numeric data a merge or snapshot
+// would have to copy: a numeric basic type, a slice or
 // fixed-size array of carrier elements (histograms are arrays of buckets),
 // or a struct with at least one exported carrier field (nested sub-stat
 // structs, and slices/arrays of them). Composition is followed to a

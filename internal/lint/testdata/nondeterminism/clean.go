@@ -21,14 +21,8 @@ func simClock(cycle uint64, hz float64) float64 {
 	return float64(cycle) / hz
 }
 
-// derivedSource is fine for this analyzer: the seed is not a literal (the
-// seedflow analyzer separately checks where it comes from).
-func derivedSource(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
-// methodDraws on a private generator are fine — only the process-global
-// package-level draws are ambient state.
+// methodDraws on a generator handed in are not package-level calls; the
+// constructor that built the generator is where the analyzer reports.
 func methodDraws(r *rand.Rand) int {
 	return r.Intn(10)
 }

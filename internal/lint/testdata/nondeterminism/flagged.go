@@ -6,6 +6,7 @@ package fixture
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -15,17 +16,34 @@ func wallClock() time.Duration {
 }
 
 func globalDraws() (int, float64) {
-	n := rand.Intn(10)                 // want `process-global`
-	f := rand.Float64()                // want `process-global`
-	rand.Shuffle(n, func(i, j int) {}) // want `process-global`
+	n := rand.Intn(10)                 // want `rand.Intn: math/rand`
+	f := rand.Float64()                // want `rand.Float64: math/rand`
+	rand.Shuffle(n, func(i, j int) {}) // want `rand.Shuffle: math/rand`
 	return n, f
 }
 
+// Constructors are reported whatever their seed: a literal, a constant
+// expression, a package-level variable, or a caller-provided parameter.
 func literalSeeded() *rand.Rand {
-	return rand.New(rand.NewSource(42)) // want `literal seed`
+	src := rand.NewSource(42) // want `rand.NewSource: math/rand`
+	return rand.New(src)      // want `rand.New: math/rand`
 }
 
-func constExprSeeded() *rand.Rand {
+func constExprSeeded() rand.Source {
 	const base = 7
-	return rand.New(rand.NewSource(base * 1000)) // want `literal seed`
+	return rand.NewSource(base * 1000) // want `rand.NewSource: math/rand`
+}
+
+var packageSeed int64 = 1234
+
+func packageLevelSeed() rand.Source {
+	return rand.NewSource(packageSeed) // want `rand.NewSource: math/rand`
+}
+
+func derivedSource(seed int64) rand.Source {
+	return rand.NewSource(seed) // want `rand.NewSource: math/rand`
+}
+
+func v2Generator(seed uint64) *randv2.PCG {
+	return randv2.NewPCG(seed, 1) // want `rand.NewPCG: math/rand`
 }

@@ -1,12 +1,12 @@
-//lint:as repro/internal/experiments
+//lint:as repro/internal/sim
 
 // Package fixture is the poolslot analyzer's negative corpus: goroutine
-// launches in the experiment layer that bypass internal/pool.
+// launches outside internal/pool, joined or not.
 package fixture
 
 import "sync"
 
-func bareFanOut(n int, fn func(int)) {
+func joinedFanOut(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,6 +185,50 @@ func TestMapNestedDoesNotDeadlock(t *testing.T) {
 		}
 		if got := inner.Load(); got != 12 {
 			t.Errorf("workers=%d: ran %d inner tasks, want 12", workers, got)
+		}
+	}
+}
+
+// TestMapLeavesNoGoroutines pins Map's join at runtime: every worker a Map
+// call launches has exited shortly after the call returns, whether the
+// batch ran to completion, stopped at an error, or nested a second Map
+// inside its tasks.
+func TestMapLeavesNoGoroutines(t *testing.T) {
+	p := New(8)
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name  string
+		batch func() error
+		want  error
+	}{
+		{"complete", func() error {
+			return p.Map(64, func(int) error { return nil })
+		}, nil},
+		{"error-stopped", func() error {
+			return p.Map(64, func(i int) error {
+				if i == 5 {
+					return boom
+				}
+				return nil
+			})
+		}, boom},
+		{"nested", func() error {
+			return p.Map(8, func(int) error {
+				return p.Map(8, func(int) error { return nil })
+			})
+		}, nil},
+	} {
+		before := runtime.NumGoroutine()
+		if err := c.batch(); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		// A worker signals the join just before it returns, so give the
+		// runtime up to a second to retire it.
+		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after Map returned, %d before", c.name, got, before)
 		}
 	}
 }
