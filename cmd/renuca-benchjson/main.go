@@ -7,7 +7,11 @@
 // medians because with -count>1 the repeated lines of one benchmark fold
 // into a single robust figure. Each median is recorded with the min and max
 // of its samples, and the document carries a fingerprint of the host that
-// produced it (CPU model, CPU count, GOMAXPROCS, Go version).
+// produced it (CPU model, CPU count, GOMAXPROCS, Go version) and the host's
+// 1-minute load average when it was written (load1, from /proc/loadavg).
+// The load is not part of the fingerprint: two runs on one host under
+// different load are still comparable, only noisier, so the guard prints
+// both loads beside every verdict instead of refusing.
 //
 // Usage:
 //
@@ -89,10 +93,12 @@ type Host struct {
 }
 
 // Doc is the written BENCH.json shape. Host is absent from summaries
-// written before fingerprints were recorded.
+// written before fingerprints were recorded, and Load1 from those written
+// before loads were, or on a host without /proc/loadavg.
 type Doc struct {
-	Host       *Host   `json:"host,omitempty"`
-	Benchmarks []Entry `json:"benchmarks"`
+	Host       *Host    `json:"host,omitempty"`
+	Load1      *float64 `json:"load1,omitempty"`
+	Benchmarks []Entry  `json:"benchmarks"`
 }
 
 // fingerprint describes this host. The summarizer runs on the host and
@@ -119,6 +125,23 @@ func cpuModel() string {
 		}
 	}
 	return "unknown"
+}
+
+// load1 reads the 1-minute load average from /proc/loadavg, or nil.
+func load1() *float64 {
+	b, err := os.ReadFile("/proc/loadavg")
+	if err != nil {
+		return nil
+	}
+	f := strings.Fields(string(b))
+	if len(f) == 0 {
+		return nil
+	}
+	v, err := strconv.ParseFloat(f[0], 64)
+	if err != nil {
+		return nil
+	}
+	return &v
 }
 
 // spread returns the median, min and max of xs, which it sorts.
@@ -254,36 +277,47 @@ func runGuard(w io.Writer, baselinePath, currentPath, guard string, maxDropPct f
 		fmt.Fprintln(w, "renuca-benchjson: current:", err)
 		return 1
 	}
+	// Every verdict line ends with both hosts' loads, so a reader can tell
+	// a verdict taken on a busy host.
+	loads := fmt.Sprintf("; load1 baseline %s, current %s", describeLoad(base.Load1), describeLoad(cur.Load1))
 	if base.Host == nil || cur.Host == nil || *base.Host != *cur.Host {
-		fmt.Fprintf(w, "renuca-benchjson: guard refused: host fingerprints differ (baseline %s, current %s); compare summaries from one host\n",
-			describeHost(base.Host), describeHost(cur.Host))
+		fmt.Fprintf(w, "renuca-benchjson: guard refused: host fingerprints differ (baseline %s, current %s); compare summaries from one host%s\n",
+			describeHost(base.Host), describeHost(cur.Host), loads)
 		return 2
 	}
 	curPS, ok := perSecOf(cur, guard)
 	if !ok {
-		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s missing from %s\n", guard, currentPath)
+		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s missing from %s%s\n", guard, currentPath, loads)
 		return 1
 	}
 	basePS, ok := perSecOf(base, guard)
 	if !ok {
-		fmt.Fprintf(w, "renuca-benchjson: guard: %s not in baseline %s yet; passing\n", guard, baselinePath)
+		fmt.Fprintf(w, "renuca-benchjson: guard: %s not in baseline %s yet; passing%s\n", guard, baselinePath, loads)
 		return 0
 	}
 	if basePS <= 0 {
-		fmt.Fprintf(w, "renuca-benchjson: guard: baseline per_sec %v unusable; passing\n", basePS)
+		fmt.Fprintf(w, "renuca-benchjson: guard: baseline per_sec %v unusable; passing%s\n", basePS, loads)
 		return 0
 	}
 	dropPct := (basePS - curPS) / basePS * 100
 	if dropPct > maxDropPct {
-		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s per_sec %.4f is %.1f%% below baseline %.4f (max allowed drop %.1f%%)\n",
-			guard, curPS, dropPct, basePS, maxDropPct)
+		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s per_sec %.4f is %.1f%% below baseline %.4f (max allowed drop %.1f%%)%s\n",
+			guard, curPS, dropPct, basePS, maxDropPct, loads)
 		return 1
 	}
 	// curPS/basePS*100-100 rather than -dropPct: the latter is IEEE -0.0
 	// for identical figures and would print a spurious "-0.0%".
-	fmt.Fprintf(w, "renuca-benchjson: guard OK: %s per_sec %.4f vs baseline %.4f (%+.1f%%, max allowed drop %.1f%%)\n",
-		guard, curPS, basePS, curPS/basePS*100-100, maxDropPct)
+	fmt.Fprintf(w, "renuca-benchjson: guard OK: %s per_sec %.4f vs baseline %.4f (%+.1f%%, max allowed drop %.1f%%)%s\n",
+		guard, curPS, basePS, curPS/basePS*100-100, maxDropPct, loads)
 	return 0
+}
+
+// describeLoad renders a summary's load1 for the guard's verdict lines.
+func describeLoad(v *float64) string {
+	if v == nil {
+		return "none recorded"
+	}
+	return strconv.FormatFloat(*v, 'f', 2, 64)
 }
 
 // describeHost renders a fingerprint for the guard's refusal message.
@@ -313,7 +347,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)
 		os.Exit(1)
 	}
-	doc := Doc{Host: fingerprint(), Benchmarks: entries}
+	doc := Doc{Host: fingerprint(), Load1: load1(), Benchmarks: entries}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "renuca-benchjson:", err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,13 @@ func writeDoc(t *testing.T, dir, name string, benchmarks []Entry) string {
 // recorded).
 func writeDocOn(t *testing.T, dir, name string, h *Host, benchmarks []Entry) string {
 	t.Helper()
-	b, err := json.Marshal(Doc{Host: h, Benchmarks: benchmarks})
+	return writeFullDoc(t, dir, name, Doc{Host: h, Benchmarks: benchmarks})
+}
+
+// writeFullDoc marshals d into dir and returns its path.
+func writeFullDoc(t *testing.T, dir, name string, d Doc) string {
+	t.Helper()
+	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,5 +253,78 @@ func TestRunGuardRefusesOtherHost(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunGuardPrintsLoads: every guard verdict line names both summaries'
+// 1-minute loads, or says none was recorded, and a load difference alone
+// neither refuses nor fails a comparison on one host. load1 is a top-level
+// field, outside the host fingerprint.
+func TestRunGuardPrintsLoads(t *testing.T) {
+	const guard = "BenchmarkSuiteThroughput/pool"
+	dir := t.TempDir()
+	idle, busy := 0.5, 1.75
+	doc := func(h *Host, load *float64, ps float64) Doc {
+		return Doc{Host: h, Load1: load, Benchmarks: []Entry{{Name: guard, PerSec: ps}}}
+	}
+	other := Host{CPUModel: "Other CPU"}
+	base := writeFullDoc(t, dir, "base.json", doc(&testHost, &idle, 1.0))
+	for _, tc := range []struct {
+		name     string
+		baseline string
+		current  Doc
+		wantCode int
+		wantMsg  string
+	}{
+		{"ok", base, doc(&testHost, &busy, 0.98), 0, "guard OK"},
+		{"fail", base, doc(&testHost, &busy, 0.5), 1, "guard FAIL"},
+		{"missing from current", base, Doc{Host: &testHost, Load1: &busy}, 1, "missing from"},
+		{"missing from baseline", writeFullDoc(t, dir, "nobench.json", Doc{Host: &testHost, Load1: &idle}), doc(&testHost, &busy, 1), 0, "not in baseline"},
+		{"unusable baseline", writeFullDoc(t, dir, "zero.json", doc(&testHost, &idle, 0)), doc(&testHost, &busy, 1), 0, "unusable"},
+		{"refused", base, doc(&other, &busy, 1), 2, "guard refused"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := writeFullDoc(t, dir, "cur.json", tc.current)
+			var out strings.Builder
+			if code := runGuard(&out, tc.baseline, cur, guard, 10); code != tc.wantCode {
+				t.Fatalf("exit code %d, want %d (output: %s)", code, tc.wantCode, out.String())
+			}
+			for _, want := range []string{tc.wantMsg, "load1 baseline 0.50, current 1.75"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output %q does not contain %q", out.String(), want)
+				}
+			}
+		})
+	}
+
+	t.Run("none recorded", func(t *testing.T) {
+		cur := writeDoc(t, dir, "cur.json", []Entry{{Name: guard, PerSec: 1}})
+		var out strings.Builder
+		if code := runGuard(&out, base, cur, guard, 10); code != 0 {
+			t.Fatalf("exit code %d, want 0 (output: %s)", code, out.String())
+		}
+		if !strings.Contains(out.String(), "load1 baseline 0.50, current none recorded") {
+			t.Errorf("output %q does not say the current load is missing", out.String())
+		}
+	})
+
+	t.Run("top-level field", func(t *testing.T) {
+		b, err := json.Marshal(doc(&testHost, &idle, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(b, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if string(raw["load1"]) != "0.5" || strings.Contains(string(raw["host"]), "load") {
+			t.Errorf("load1 not a top-level field outside host: %s", b)
+		}
+	})
+
+	if runtime.GOOS == "linux" {
+		if v := load1(); v == nil || *v < 0 {
+			t.Errorf("load1() = %v on linux, want a non-negative load", v)
+		}
 	}
 }

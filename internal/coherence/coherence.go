@@ -59,8 +59,9 @@ type Stats struct {
 	Shootdowns      uint64 // inclusive back-invalidations from LLC evictions
 }
 
-// Directory is the MESI directory. It supports up to 64 cores (bitmask
-// sharers) and line addresses below 2^62. Not safe for concurrent use.
+// Directory is the MESI directory. It supports up to 16 cores (a 16-bit
+// sharer mask) and 64-byte-aligned line addresses below 2^52. Not safe for
+// concurrent use.
 type Directory struct {
 	numCores int
 	lines    lineTable // line address -> state and sharers
@@ -69,8 +70,8 @@ type Directory struct {
 
 // NewDirectory builds a directory for numCores private caches.
 func NewDirectory(numCores int) (*Directory, error) {
-	if numCores <= 0 || numCores > 64 {
-		return nil, fmt.Errorf("coherence: core count %d out of [1,64]", numCores)
+	if numCores <= 0 || numCores > sharerBits {
+		return nil, fmt.Errorf("coherence: core count %d out of [1,%d]", numCores, sharerBits)
 	}
 	return &Directory{numCores: numCores, lines: newLineTable()}, nil
 }
@@ -93,7 +94,7 @@ func (d *Directory) ResetStats() { d.stats = Stats{} }
 // StateOf returns the directory state for a line (Invalid when untracked).
 func (d *Directory) StateOf(addr uint64) State {
 	if i, ok := d.lines.find(addr); ok {
-		return d.lines.slots[i].state()
+		return slotState(d.lines.slots[i])
 	}
 	return Invalid
 }
@@ -104,7 +105,7 @@ func (d *Directory) Sharers(addr uint64) []int {
 	if !ok {
 		return nil
 	}
-	sharers := d.lines.slots[i].sharers
+	sharers := slotSharers(d.lines.slots[i])
 	var out []int
 	for c := 0; c < d.numCores; c++ {
 		if sharers&(1<<uint(c)) != 0 {
@@ -132,20 +133,20 @@ func (d *Directory) ReadAcquire(addr uint64, core int) (downgraded uint64, dirty
 		return 0, false
 	}
 	ls := &d.lines.slots[i]
-	prev := ls.state()
+	prev := slotState(*ls)
 	switch prev {
 	case Modified:
 		dirtyWB = true
 		d.stats.DirtyWritebacks++
 		fallthrough
 	case Exclusive:
-		if owner := ls.owner(); owner != core {
+		if owner := slotOwner(*ls); owner != core {
 			downgraded = 1 << uint(owner)
 			d.stats.Downgrades++
 		}
 	}
 	// A tracked line is never Invalid, so every outcome is Shared.
-	*ls = slot{key: addr | uint64(Shared)<<stateShift, sharers: ls.sharers | 1<<uint(core)}
+	*ls = pack(addr, Shared, slotSharers(*ls)|1<<uint(core))
 	d.sanCheckTransition(addr, prev)
 	return downgraded, dirtyWB
 }
@@ -166,14 +167,14 @@ func (d *Directory) WriteAcquire(addr uint64, core int) (invalidated uint64, dir
 		return 0, false
 	}
 	ls := &d.lines.slots[i]
-	prev := ls.state()
-	if prev == Modified && ls.owner() != core {
+	prev := slotState(*ls)
+	if prev == Modified && slotOwner(*ls) != core {
 		dirtyWB = true
 		d.stats.DirtyWritebacks++
 	}
-	invalidated = ls.sharers &^ (1 << uint(core))
+	invalidated = slotSharers(*ls) &^ (1 << uint(core))
 	d.stats.Invalidations += uint64(popcount(invalidated))
-	*ls = slot{key: addr | uint64(Modified)<<stateShift, sharers: 1 << uint(core)}
+	*ls = pack(addr, Modified, 1<<uint(core))
 	d.sanCheckTransition(addr, prev)
 	return invalidated, dirtyWB
 }
@@ -191,8 +192,8 @@ func (d *Directory) Release(addr uint64, core int, dirty bool) {
 		return
 	}
 	ls := &d.lines.slots[i]
-	prev := ls.state()
-	if ls.sharers &^= 1 << uint(core); ls.sharers == 0 {
+	prev := slotState(*ls)
+	if *ls &^= 1 << uint(core); slotSharers(*ls) == 0 {
 		d.lines.remove(i)
 	}
 	// An E/M line's one sharer is its owner, so releasing the owner's copy
@@ -214,8 +215,8 @@ func (d *Directory) Shootdown(addr uint64) (holders uint64, dirty bool) {
 		return 0, false
 	}
 	ls := d.lines.slots[i]
-	prev := ls.state()
-	holders = ls.sharers
+	prev := slotState(ls)
+	holders = slotSharers(ls)
 	d.stats.Invalidations += uint64(popcount(holders))
 	d.stats.Shootdowns++
 	dirty = prev == Modified

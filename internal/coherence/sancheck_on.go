@@ -30,23 +30,24 @@ func (d *Directory) sanCheckLine(addr uint64) {
 	if !ok {
 		return
 	}
-	ls := d.lines.slots[i]
-	if ls.sharers == 0 {
-		sancheck.Failf("coherence: line %#x tracked in state %s with no sharers", addr, ls.state())
+	s := d.lines.slots[i]
+	st, sharers := slotState(s), slotSharers(s)
+	if sharers == 0 {
+		sancheck.Failf("coherence: line %#x tracked in state %s with no sharers", addr, st)
 	}
-	if limit := uint64(1)<<uint(d.numCores) - 1; ls.sharers&^limit != 0 {
+	if limit := uint64(1)<<uint(d.numCores) - 1; sharers&^limit != 0 {
 		sancheck.Failf("coherence: line %#x has sharers outside the %d-core system: %s",
-			addr, d.numCores, sancheck.Cores(ls.sharers))
+			addr, d.numCores, sancheck.Cores(sharers))
 	}
-	switch ls.state() {
+	switch st {
 	case Exclusive, Modified:
-		if ls.sharers&(ls.sharers-1) != 0 {
+		if sharers&(sharers-1) != 0 {
 			sancheck.Failf("coherence: line %#x in state %s must have exactly one sharer, its owner %d, got %s",
-				addr, ls.state(), ls.owner(), sancheck.Cores(ls.sharers))
+				addr, st, slotOwner(s), sancheck.Cores(sharers))
 		}
 	case Shared:
 	default:
-		sancheck.Failf("coherence: line %#x tracked with invalid state %s", addr, ls.state())
+		sancheck.Failf("coherence: line %#x tracked with invalid state %s", addr, st)
 	}
 }
 
@@ -56,7 +57,7 @@ func (d *Directory) sanCheckLine(addr uint64) {
 func (d *Directory) sanCheckTransition(addr uint64, prev State) {
 	cur := Invalid
 	if i, ok := d.lines.find(addr); ok {
-		cur = d.lines.slots[i].state()
+		cur = slotState(d.lines.slots[i])
 	}
 	if !mesiLegal[prev][cur] {
 		sancheck.Failf("coherence: illegal MESI transition %s -> %s for line %#x", prev, cur, addr)
@@ -80,7 +81,7 @@ func (t *lineTable) sanCheck(addr uint64) {
 		sancheck.Failf("coherence: line table has %d slots with hash shift %d", len(t.slots), t.shift)
 	}
 	start := t.home(addr)
-	for t.slots[start].key != 0 && t.slots[(start-1)&mask].key != 0 {
+	for t.slots[start] != 0 && t.slots[(start-1)&mask] != 0 {
 		start = (start - 1) & mask
 	}
 	t.sanCheckCluster(start)
@@ -89,12 +90,12 @@ func (t *lineTable) sanCheck(addr uint64) {
 	}
 	t.sanOps = 0
 	empty := 0
-	for t.slots[empty].key != 0 {
+	for t.slots[empty] != 0 {
 		empty++
 	}
 	n := 0
 	for k := 1; k <= mask; k++ {
-		if i := (empty + k) & mask; t.slots[i].key != 0 && t.slots[(i-1)&mask].key == 0 {
+		if i := (empty + k) & mask; t.slots[i] != 0 && t.slots[(i-1)&mask] == 0 {
 			n += t.sanCheckCluster(i)
 		}
 	}
@@ -112,11 +113,11 @@ func (t *lineTable) sanCheck(addr uint64) {
 func (t *lineTable) sanCheckCluster(start int) int {
 	mask := len(t.slots) - 1
 	n := 0
-	for i := start; t.slots[i].key != 0; i = (i + 1) & mask {
+	for i := start; t.slots[i] != 0; i = (i + 1) & mask {
 		n++
-		if h := t.home(t.slots[i].addr()); (i-h)&mask > (i-start)&mask {
+		if h := t.home(slotAddr(t.slots[i])); (i-h)&mask > (i-start)&mask {
 			sancheck.Failf("coherence: line %#x in slot %d is unreachable from its home slot %d: the probe chain breaks at empty slot %d",
-				t.slots[i].addr(), i, h, (start-1)&mask)
+				slotAddr(t.slots[i]), i, h, (start-1)&mask)
 		}
 	}
 	return n

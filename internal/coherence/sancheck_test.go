@@ -18,7 +18,7 @@ func TestSanitizerCatchesCorruptedSharers(t *testing.T) {
 	d.ReadAcquire(addr, 1) // line tracked E, owner 1
 
 	i, _ := d.lines.find(addr)
-	d.lines.slots[i].sharers |= 1 << 3 // corruption: phantom sharer on core 3
+	d.lines.slots[i] |= 1 << 3 // corruption: phantom sharer on core 3
 
 	defer wantSanPanic(t, "sancheck:", "0x1000", "cores [1 3]", "owner 1", "state E")
 	d.WriteAcquire(addr, 1) // entry check must fire before the write repairs the mask
@@ -54,10 +54,24 @@ func TestSanitizerCatchesUnreachableLine(t *testing.T) {
 	d.ReadAcquire(addr, 2)
 	i, _ := d.lines.find(addr)
 	before := (i - 1) & (len(d.lines.slots) - 1) // empty in a table this sparse
-	d.lines.slots[before], d.lines.slots[i] = d.lines.slots[i], slot{}
+	d.lines.slots[before], d.lines.slots[i] = d.lines.slots[i], 0
 
 	defer wantSanPanic(t, "sancheck:", "line 0x3000", "unreachable")
 	d.ReadAcquire(addr, 3)
+}
+
+// TestSanitizerCatchesInvalidSlotState clears the state bits of a tracked
+// line's slot, leaving its line index and sharer mask in place, and asserts
+// the next operation on the line reports a tracked line in state I.
+func TestSanitizerCatchesInvalidSlotState(t *testing.T) {
+	d := MustNewDirectory(8)
+	const addr = 0x5000
+	d.WriteAcquire(addr, 4)
+	i, _ := d.lines.find(addr)
+	d.lines.slots[i] &^= 3 << stateShift
+
+	defer wantSanPanic(t, "sancheck:", "line 0x5000", "invalid state I")
+	d.ReadAcquire(addr, 4)
 }
 
 // TestSanitizerCatchesMiscountedTable drops the table's line count by one

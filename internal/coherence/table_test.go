@@ -10,12 +10,15 @@ type refLine struct {
 
 // TestLineTableMatchesMap drives the line table and a Go map with one
 // seeded random put/get/delete sequence and requires identical contents
-// and TrackedLines after every step. A few dozen of the addresses hash to the
-// table's last slots, at every size, so probe chains wrap the end of the
-// array and deletions land inside them; the live population climbs past
-// several growth thresholds and back down.
+// and TrackedLines after every step. The sharer masks are random 16-bit
+// masks, so bit 15 sits next to the line field. A few dozen of the
+// addresses hash to the table's last slots, at every size, so probe chains
+// wrap the end of the array and deletions land inside them; a dozen of
+// those lie just below 2^52, where the line field's top bit sits next to
+// the state. The live population climbs past several growth thresholds
+// and back down.
 func TestLineTableMatchesMap(t *testing.T) {
-	d := MustNewDirectory(64)
+	d := MustNewDirectory(16)
 	tab := &d.lines
 	ref := make(map[uint64]refLine)
 	rng := lcg(1)
@@ -23,17 +26,23 @@ func TestLineTableMatchesMap(t *testing.T) {
 	// Fibonacci hashing keeps the top bits, so an address homed in the
 	// last slots of 1024 stays in the last slots of every doubling.
 	var pool []uint64
+	for a := uint64(addrLimit - 64); len(pool) < 12; a -= 64 {
+		if tab.home(a) >= minSlots-4 {
+			pool = append(pool, a)
+		}
+	}
 	for len(pool) < 48 {
-		a := rng.next() & (1<<40 - 1) &^ 63
+		a := rng.next() & (addrLimit - 1) &^ 63
 		if tab.home(a) >= minSlots-4 {
 			pool = append(pool, a)
 		}
 	}
 	for len(pool) < 3000 {
-		pool = append(pool, rng.next()&(1<<40-1)&^63)
+		pool = append(pool, rng.next()&(addrLimit-1)&^63)
 	}
 
 	var wrapped, maxSlots int
+	var topSharer bool
 	const steps = 20_000
 	for step := 0; step < steps; step++ {
 		a := pool[rng.intn(len(pool))]
@@ -48,15 +57,16 @@ func TestLineTableMatchesMap(t *testing.T) {
 		if found != inRef {
 			t.Fatalf("step %d: find(%#x) found=%v, map has it=%v", step, a, found, inRef)
 		}
-		if found && (tab.slots[i].state() != want.state || tab.slots[i].sharers != want.sharers) {
+		if s := tab.slots[i]; found && (slotState(s) != want.state || slotSharers(s) != want.sharers) {
 			t.Fatalf("step %d: line %#x holds %v/%#x, map %v/%#x", step, a,
-				tab.slots[i].state(), tab.slots[i].sharers, want.state, want.sharers)
+				slotState(s), slotSharers(s), want.state, want.sharers)
 		}
 		switch op := rng.intn(10); {
 		case op < putBias:
-			v := refLine{state: State(1 + rng.intn(3)), sharers: rng.next() | 1}
+			v := refLine{state: State(1 + rng.intn(3)), sharers: rng.next()>>48 | 1}
+			topSharer = topSharer || v.sharers&(1<<15) != 0
 			if found {
-				tab.slots[i] = slot{key: a | uint64(v.state)<<stateShift, sharers: v.sharers}
+				tab.slots[i] = pack(a, v.state, v.sharers)
 			} else {
 				tab.insert(i, a, v.state, v.sharers)
 			}
@@ -79,6 +89,9 @@ func TestLineTableMatchesMap(t *testing.T) {
 	if maxSlots < 4*minSlots {
 		t.Errorf("table peaked at %d slots; want at least two growths", maxSlots)
 	}
+	if !topSharer {
+		t.Error("no sharer mask held core 15")
+	}
 }
 
 // requireSameLines fails unless d's line table holds exactly ref's lines.
@@ -89,7 +102,7 @@ func requireSameLines(t *testing.T, step int, d *Directory, ref map[uint64]refLi
 	}
 	occupied := 0
 	for _, s := range d.lines.slots {
-		if s.key != 0 {
+		if s != 0 {
 			occupied++
 		}
 	}
@@ -101,27 +114,36 @@ func requireSameLines(t *testing.T, step int, d *Directory, ref map[uint64]refLi
 		if !ok {
 			t.Fatalf("step %d: line %#x lost", step, a)
 		}
-		if s := d.lines.slots[i]; s.state() != want.state || s.sharers != want.sharers {
-			t.Fatalf("step %d: line %#x holds %v/%#x, map %v/%#x", step, a, s.state(), s.sharers, want.state, want.sharers)
+		if s := d.lines.slots[i]; slotState(s) != want.state || slotSharers(s) != want.sharers {
+			t.Fatalf("step %d: line %#x holds %v/%#x, map %v/%#x", step, a, slotState(s), slotSharers(s), want.state, want.sharers)
 		}
 	}
 }
 
-// TestDirectoryRejectsHugeAddress: the line table keys addresses below
-// 2^62; anything above would alias into the state bits, so it panics like
-// an out-of-range core.
+// TestDirectoryRejectsHugeAddress: the line table keys 64-byte-aligned
+// addresses below 2^52. A higher address would run into the state bits and
+// a misaligned one would alias its line, so both panic like an
+// out-of-range core.
 func TestDirectoryRejectsHugeAddress(t *testing.T) {
 	d := dir()
-	d.WriteAcquire(maxAddr&^63, 1) // the largest line address is accepted
-	if d.StateOf(maxAddr&^63) != Modified {
+	const top = addrLimit - 64 // the largest line address
+	d.WriteAcquire(top, 15)
+	if d.StateOf(top) != Modified || d.Sharers(top)[0] != 15 {
 		t.Fatal("largest line address not tracked")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("address 2^62 accepted; want a panic")
-		}
-	}()
-	d.ReadAcquire(1<<62, 0)
+	for _, addr := range []uint64{addrLimit, 1 << 62, 0x1008} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("address %#x accepted; want a panic", addr)
+				}
+			}()
+			d.ReadAcquire(addr, 0)
+		}()
+	}
+	if d.TrackedLines() != 1 {
+		t.Errorf("TrackedLines %d after the rejected addresses, want 1", d.TrackedLines())
+	}
 }
 
 // lcg is the tests' seeded pseudo-random stream (Knuth's MMIX LCG); the

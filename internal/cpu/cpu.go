@@ -105,8 +105,17 @@ type Core struct {
 	count      int
 
 	// pending holds dispatched instructions whose memory walk (or ALU
-	// completion) is deferred until their producer completes.
-	pending []pendingOp
+	// completion) is deferred until their producer completes. pendWake is
+	// the least ready cycle among the pending ops whose producer's
+	// completion is known, or unknownCompletion when there is none. It is
+	// exact: a pending op's producer is older, so it is pending itself or
+	// already executed, and pending producers execute only in
+	// issuePending, whose scan recomputes pendWake; dispatch lowers it for
+	// each op it defers behind a known producer. The oldest pending op's
+	// producer is never pending, so pendWake is finite whenever pending is
+	// non-empty, and issuePending can skip every cycle before it.
+	pending  []pendingOp
+	pendWake uint64
 
 	stats Stats
 
@@ -140,6 +149,8 @@ func New(id int, cfg Config, gen trace.Generator, mem MemSystem, cpt *predictor.
 		mem: mem,
 		cpt: cpt,
 		rob: make([]robEntry, cfg.ROBEntries),
+
+		pendWake: unknownCompletion,
 	}, nil
 }
 
@@ -203,25 +214,13 @@ func (c *Core) Tick(cycle uint64) (nextWake uint64) {
 	// cycle (the commit drain is the progress). Otherwise sleep until the
 	// head completes or a pending operation becomes issueable, whichever
 	// is earlier.
-	wake := unknownCompletion
+	wake := c.pendWake
 	if h := &c.rob[c.head]; h.completeCycle != unknownCompletion {
 		if h.completeCycle <= cycle {
 			return cycle + 1
 		}
-		wake = h.completeCycle
-	}
-	for i := range c.pending {
-		p := &c.pending[i]
-		dep := c.rob[p.depIdx].completeCycle
-		if dep == unknownCompletion {
-			continue
-		}
-		ready := p.minReady
-		if dep > ready {
-			ready = dep
-		}
-		if ready < wake {
-			wake = ready
+		if h.completeCycle < wake {
+			wake = h.completeCycle
 		}
 	}
 	if wake == unknownCompletion || wake <= cycle {
@@ -235,14 +234,15 @@ func (c *Core) Tick(cycle uint64) (nextWake uint64) {
 // arrived. Deferring the walk until the operands exist keeps the shared
 // resource timestamps (NoC links, DRAM banks) causally ordered: a dependent
 // load must not reserve a link hundreds of cycles before its address is
-// known.
+// known. Before pendWake no pending op can issue, so the scan is skipped.
 //
 //lint:hotpath
 func (c *Core) issuePending(cycle uint64) {
-	if len(c.pending) == 0 {
+	if cycle < c.pendWake {
 		return
 	}
 	kept := c.pending[:0]
+	wake := unknownCompletion
 	for i := range c.pending {
 		p := c.pending[i]
 		dep := c.rob[p.depIdx].completeCycle
@@ -258,11 +258,15 @@ func (c *Core) issuePending(cycle uint64) {
 		if ready > cycle {
 			//lint:allow allocfree compaction into the same backing array never grows it
 			kept = append(kept, p)
+			if ready < wake {
+				wake = ready
+			}
 			continue
 		}
 		c.execute(&c.rob[p.robIdx], ready)
 	}
 	c.pending = kept
+	c.pendWake = wake
 }
 
 // execute resolves an instruction's completion at its ready time, issuing
@@ -402,6 +406,9 @@ func (c *Core) dispatch(cycle uint64) {
 				depIdx:   depIdx,
 				minReady: cycle + 1,
 			})
+			if depKnown && ready < c.pendWake {
+				c.pendWake = ready
+			}
 			continue
 		}
 		c.execute(&c.rob[robIdx], ready)

@@ -240,3 +240,76 @@ func TestDependenceChainsWrapTheROB(t *testing.T) {
 		t.Fatalf("committed %d of %d", c.Stats().Committed, n)
 	}
 }
+
+// randMem gives each memory operation a pseudo-random latency from its own
+// seeded stream, so producers complete far out of order.
+type randMem struct{ state uint64 }
+
+func (m *randMem) lat() uint64 {
+	m.state = m.state*6364136223846793005 + 1442695040888963407
+	return 1 + m.state>>33%400
+}
+
+func (m *randMem) Load(core int, pc, addr uint64, critical bool, cycle uint64) uint64 {
+	return cycle + m.lat()
+}
+
+func (m *randMem) Store(core int, pc, addr uint64, critical bool, cycle uint64) uint64 {
+	return cycle + m.lat()%4
+}
+
+// bruteWake is the least ready cycle among c's pending ops whose producer's
+// completion is known, found by scanning them all: what pendWake caches.
+func bruteWake(c *Core) uint64 {
+	wake := unknownCompletion
+	for _, p := range c.pending {
+		dep := c.rob[p.depIdx].completeCycle
+		if dep == unknownCompletion {
+			continue
+		}
+		if ready := max(p.minReady, dep); ready < wake {
+			wake = ready
+		}
+	}
+	return wake
+}
+
+// TestPendWakeIsExact drives a scripted core through random dependences,
+// instruction kinds and load latencies, following Tick's wake hints as the
+// simulator does, and requires pendWake to equal a scan of the pending ops
+// after every Tick. pendWake must also be finite whenever an op is pending,
+// or issuePending would never scan again.
+func TestPendWakeIsExact(t *testing.T) {
+	for _, rob := range []int{8, 32, 128} {
+		rng := uint64(rob)
+		next := func(n uint64) uint64 {
+			rng = rng*2862933555777941757 + 3037000493
+			return rng >> 33 % n
+		}
+		instrs := make([]trace.Instr, 20_000)
+		for i := range instrs {
+			in := trace.Instr{Kind: trace.Kind(next(3)), PC: next(64), Addr: uint64(i) * 64}
+			if d := uint32(next(uint64(2 * rob))); d <= uint32(i) {
+				in.DepDist = d
+			}
+			instrs[i] = in
+		}
+		cfg := DefaultConfig()
+		cfg.ROBEntries = rob
+		c := MustNewScripted(0, cfg, &randMem{state: uint64(rob)}, instrs)
+		for cyc := uint64(0); c.Stats().Committed < uint64(len(instrs)); {
+			wake := c.Tick(cyc)
+			if got, want := c.pendWake, bruteWake(c); got != want {
+				t.Fatalf("ROB %d, cycle %d: pendWake %d, scan of %d pending ops gives %d",
+					rob, cyc, got, len(c.pending), want)
+			}
+			if len(c.pending) > 0 && c.pendWake == unknownCompletion {
+				t.Fatalf("ROB %d, cycle %d: %d ops pending and none has a known producer", rob, cyc, len(c.pending))
+			}
+			if cyc > 100_000_000 {
+				t.Fatalf("ROB %d: committed %d of %d by cycle %d", rob, c.Stats().Committed, len(instrs), cyc)
+			}
+			cyc = max(wake, cyc+1)
+		}
+	}
+}

@@ -162,6 +162,10 @@ func New(cfg Config, apps []trace.Profile) (*System, error) {
 	if cfg.ClockHz <= 0 {
 		return nil, fmt.Errorf("sim: clock %v must be positive", cfg.ClockHz)
 	}
+	// The coherence directory keys 64-byte-aligned lines.
+	if cfg.LLC.LineBytes < 64 {
+		return nil, fmt.Errorf("sim: LLC line size %d below the directory's 64 bytes", cfg.LLC.LineBytes)
+	}
 	// Every cache sees whole physical addresses, so each geometry must
 	// leave tags narrow enough for a frame at the System's address width.
 	addrBits := physAddrBits(cfg.Cores)

@@ -42,6 +42,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad, testApps(16)); err == nil {
 		t.Error("zero clock must be rejected")
 	}
+	// The directory's sharer mask has 16 bits.
+	bad = cfg
+	bad.Cores = 17
+	if _, err := New(bad, testApps(17)); err == nil {
+		t.Error("17 cores must be rejected")
+	}
+	// The directory keys 64-byte lines.
+	bad = cfg
+	bad.LLC.LineBytes = 32
+	if _, err := New(bad, testApps(16)); err == nil {
+		t.Error("32-byte LLC lines must be rejected")
+	}
 }
 
 // TestStateDimsRejectsBadGeometry pins that construction rejects a bad
