@@ -5,8 +5,8 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Config sizes a cache. Sets must come out a power of two.
@@ -48,30 +48,30 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// A line frame is split across two parallel arrays, 5 bytes in all, and
-// zero means empty in both, so a freshly allocated (or cleared) frame array
-// is an empty cache:
-//   - tags[i] stores the line tag plus one, and 0 marks an empty frame. The
-//     bias costs one value, so a tag may be at most MaxTagBits wide
-//     (CheckTagWidth validates a geometry against an address width);
-//   - meta[i] holds dirty<<7 | rank, where rank is the frame's recency
-//     order among its set's valid frames: 0 is the least recent, k-1 the
-//     most recent of k. An empty frame carries meta 0.
+// A line frame is one 32-bit word, and 0 means empty, so a freshly
+// allocated (or cleared) frame array is an empty cache. With r the rank
+// width of the set, ⌈log2 ways⌉ bits, a valid frame holds
+//
+//	(lineTag+1)<<(r+1) | dirty<<r | rank
+//
+// where rank is the frame's recency order among its set's valid frames: 0
+// is the least recent, k-1 the most recent of k. The tag bias keeps a
+// valid word nonzero and costs one value, so a tag may be at most 30-r bits
+// wide (CheckTagWidth validates a geometry against an address width). A
+// 16-way set is one 64-byte host cache line.
 const (
-	metaDirty = 1 << 7
-	rankMask  = metaDirty - 1
+	// maxWays is the most ways a cache may have: 7 rank bits.
+	maxWays = 128
 
-	// maxWays is the most ways the 7 rank bits of a frame's meta byte can
-	// order.
-	maxWays = rankMask + 1
+	// MaxTagBits is the widest line tag a frame can store, that of a
+	// direct-mapped cache, whose frames carry no rank: tag+1 and the dirty
+	// bit must fit the 32-bit word. A cache of more ways stores ⌈log2 ways⌉
+	// fewer tag bits.
+	MaxTagBits = 30
 
-	// lowBytes has the low bit of every byte set: multiplying a byte by it
-	// repeats the byte in all eight lanes of a word.
-	lowBytes = 0x0101010101010101
-
-	// MaxTagBits is the widest line tag a frame can store: tag+1 must fit
-	// the 32-bit tag field.
-	MaxTagBits = 31
+	// lowLanes has the low bit of both 32-bit lanes of a word set:
+	// multiplying a frame field by it repeats the field in both lanes.
+	lowLanes = 1<<32 | 1
 )
 
 // Victim describes a line displaced by Fill or removed by Invalidate.
@@ -87,13 +87,15 @@ type Victim struct {
 // worker goroutine (concurrent sweeps run disjoint Systems).
 type Cache struct {
 	cfg      Config
-	tags     []uint32 // flattened [numSets][ways]: line tag+1, 0 = empty
-	meta     []uint8  // parallel to tags: dirty<<7 | recency rank
+	frames   []uint32 // flattened [numSets][ways]: tag+1, dirty bit and rank; 0 = empty
 	numSets  uint64
 	setMask  uint64
 	setBits  uint   // log2(numSets), precomputed off the probe path
 	ways     uint64 // uint64(cfg.Ways), hoisted off the probe path
 	lineBits uint
+	tagShift uint   // r+1: the tag field's offset in a frame
+	dirtyBit uint32 // 1<<r: the dirty bit
+	rankMask uint32 // 1<<r - 1: the rank field
 	stats    Stats
 	san      sanState // occupancy-conservation counters; zero-size without the simcheck tag
 }
@@ -103,7 +105,11 @@ type geometry struct {
 	lines    uint64
 	numSets  uint64
 	lineBits uint
+	rankBits uint // ⌈log2 ways⌉
 }
+
+// tagBits is the widest line tag a frame of g stores.
+func (g geometry) tagBits() uint { return MaxTagBits - g.rankBits }
 
 // resolve validates cfg and derives its geometry.
 func resolve(cfg Config) (geometry, error) {
@@ -125,25 +131,25 @@ func resolve(cfg Config) (geometry, error) {
 	if g.numSets&(g.numSets-1) != 0 {
 		return g, fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, g.numSets)
 	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		g.lineBits++
-	}
+	g.lineBits = uint(bits.TrailingZeros64(cfg.LineBytes))
+	g.rankBits = uint(bits.Len(uint(cfg.Ways - 1)))
 	return g, nil
 }
 
 // CheckTagWidth validates cfg's geometry and reports an error when the
 // line tags of addrBits-wide addresses — the bits above the set index and
-// line offset — are wider than the MaxTagBits a frame stores. A cache fed
-// such addresses would silently alias distinct lines onto one tag.
+// line offset — are wider than the 30-⌈log2 ways⌉ bits a frame of cfg
+// stores. A cache fed such addresses would silently alias distinct lines
+// onto one tag.
 func CheckTagWidth(cfg Config, addrBits uint) error {
 	g, err := resolve(cfg)
 	if err != nil {
 		return err
 	}
-	offset := g.lineBits + uint(bitsFor(g.numSets))
-	if addrBits > offset && addrBits-offset > MaxTagBits {
-		return fmt.Errorf("cache %s: %d-bit addresses leave %d tag bits, more than the %d a frame stores",
-			cfg.Name, addrBits, addrBits-offset, MaxTagBits)
+	offset := g.lineBits + uint(bits.TrailingZeros64(g.numSets))
+	if addrBits > offset && addrBits-offset > g.tagBits() {
+		return fmt.Errorf("cache %s: %d-bit addresses leave %d tag bits, more than the %d a %d-way frame stores",
+			cfg.Name, addrBits, addrBits-offset, g.tagBits(), cfg.Ways)
 	}
 	return nil
 }
@@ -157,13 +163,15 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:      cfg,
-		tags:     make([]uint32, g.lines),
-		meta:     make([]uint8, g.lines),
+		frames:   make([]uint32, g.lines),
 		numSets:  g.numSets,
 		setMask:  g.numSets - 1,
-		setBits:  uint(bitsFor(g.numSets)),
+		setBits:  uint(bits.TrailingZeros64(g.numSets)),
 		ways:     uint64(cfg.Ways),
 		lineBits: g.lineBits,
+		tagShift: g.rankBits + 1,
+		dirtyBit: 1 << g.rankBits,
+		rankMask: 1<<g.rankBits - 1,
 	}, nil
 }
 
@@ -189,7 +197,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) NumSets() uint64 { return c.numSets }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() uint64 { return uint64(len(c.tags)) }
+func (c *Cache) Lines() uint64 { return uint64(len(c.frames)) }
 
 // SetIndex returns the set index addr maps to (exported for the intra-bank
 // wear-leveling extension, which remaps sets).
@@ -197,23 +205,19 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 	return (addr >> c.lineBits) & c.setMask
 }
 
-// locate returns the first frame of addr's set and the tag a frame holding
-// addr stores (line tag plus one; see tags).
-func (c *Cache) locate(addr uint64) (setBase uint64, tag uint32) {
+// locate returns addr's set and the tag field a frame holding addr
+// carries: the line tag plus one, shifted above the dirty bit and rank.
+// A frame w holds addr exactly when w&^c.low() == key.
+func (c *Cache) locate(addr uint64) (set []uint32, setBase uint64, key uint32) {
 	lineAddr := addr >> c.lineBits
 	lineTag := lineAddr >> c.setBits
 	c.sanCheckTag(addr, lineTag)
-	return (lineAddr & c.setMask) * c.ways, uint32(lineTag) + 1
+	setBase = (lineAddr & c.setMask) * c.ways
+	return c.frames[setBase : setBase+c.ways], setBase, uint32(lineTag+1) << c.tagShift
 }
 
-func bitsFor(n uint64) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
+// low masks a frame's dirty bit and rank.
+func (c *Cache) low() uint32 { return c.dirtyBit | c.rankMask }
 
 // Lookup probes for addr. On a hit it updates recency, marks the line dirty
 // when write is true, and returns true. On a miss it records the miss and
@@ -229,28 +233,23 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 //
 //lint:hotpath
 func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
-	setBase, tag := c.locate(addr)
+	set, setBase, key := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
-	meta = meta[:len(tags)]
-	for i, t := range tags {
-		// Reading the meta byte ahead of the compare lets its load overlap
-		// the tag load, instead of waiting for the hit to be resolved.
-		m := meta[i]
-		if t == tag {
-			r := m & rankMask
-			if r < uint8(len(meta)-1) { // else already the most recent
-				r += demoteAbove(meta, r)
+	low := c.low()
+	for i, w := range set {
+		if w&^low == key {
+			r := w & c.rankMask
+			if r < uint32(len(set)-1) { // else already the most recent
+				r += c.demoteAbove(set, r)
 			}
-			m = m&metaDirty | r
+			w = w&^c.rankMask | r
 			if write {
-				m |= metaDirty
+				w |= c.dirtyBit
 				c.stats.WriteHits++
 			} else {
 				c.stats.ReadHits++
 			}
-			meta[i] = m
+			set[i] = w
 			return true, setBase + uint64(i)
 		}
 	}
@@ -265,40 +264,38 @@ func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
 // demoteAbove moves every frame of a set whose rank exceeds r down one rank
 // and returns how many moved. A hit on rank r then takes rank r+moved, the
 // top; an invalidation of rank r closes the gap it leaves. Empty frames
-// carry rank 0 and never move.
+// carry rank 0 and never move. It works on two frames at a time, one per
+// 32-bit lane of a word, so a 16-way set takes eight steps with no
+// data-dependent branch.
 //
 //lint:hotpath
-func demoteAbove(meta []uint8, r uint8) (moved uint8) {
-	bias := uint64(rankMask-r) * lowBytes
-	j := 0
-	for ; j+8 <= len(meta); j += 8 {
-		w, n := demoteLanes(binary.LittleEndian.Uint64(meta[j:]), bias)
-		binary.LittleEndian.PutUint64(meta[j:], w)
-		moved += n
+func (c *Cache) demoteAbove(set []uint32, r uint32) (moved uint32) {
+	rankBits := c.tagShift - 1
+	ranks := uint64(c.rankMask) * lowLanes
+	bias := uint64(c.rankMask-r) * lowLanes
+	var ones uint64
+	for ; len(set) >= 2; set = set[2:] {
+		w, o := demoteLanes(uint64(set[0])|uint64(set[1])<<32, ranks, bias, rankBits)
+		set[0], set[1] = uint32(w), uint32(w>>32)
+		ones += o
 	}
-	if j+4 <= len(meta) {
-		w, n := demoteLanes(uint64(binary.LittleEndian.Uint32(meta[j:])), bias)
-		binary.LittleEndian.PutUint32(meta[j:], uint32(w))
-		moved += n
-		j += 4
+	if len(set) == 1 {
+		w, o := demoteLanes(uint64(set[0]), ranks, bias, rankBits)
+		set[0] = uint32(w)
+		ones += o
 	}
-	for ; j < len(meta); j++ {
-		w, n := demoteLanes(uint64(meta[j]), bias)
-		meta[j] = uint8(w)
-		moved += n
-	}
-	return moved
+	return uint32(ones) + uint32(ones>>32)
 }
 
-// demoteLanes is demoteAbove on up to eight meta bytes packed in w, with
-// bias holding 127-r in every byte. Adding 127-r to a byte's rank carries
-// into the byte's top bit exactly when the rank exceeds r, and no sum (at
-// most 127+127) carries out of its byte; unused high bytes are zero and
-// never carry. Each marked byte then loses one, which a rank above 0 takes
-// without a borrow. It returns the new word and the number of marked bytes.
-func demoteLanes(w, bias uint64) (uint64, uint8) {
-	ones := ((w & (rankMask * lowBytes)) + bias) & (metaDirty * lowBytes) >> 7
-	return w - ones, uint8(ones * lowBytes >> 56) // byte sum: at most 8
+// demoteLanes is demoteAbove on the two frames packed in w, with ranks
+// holding the rank mask and bias the mask minus r in both lanes. Adding
+// mask-r to a lane's rank carries into bit rankBits exactly when the rank
+// exceeds r, and no sum (at most twice the mask) carries further; each
+// marked lane then loses one, which a rank above 0 takes without a borrow.
+// It returns the new word and a 1 in the low bit of each marked lane.
+func demoteLanes(w, ranks, bias uint64, rankBits uint) (uint64, uint64) {
+	ones := ((w & ranks) + bias) >> (rankBits & 63) & lowLanes
+	return w - ones, ones
 }
 
 // Peek reports whether addr is present without touching recency or stats.
@@ -309,12 +306,11 @@ func (c *Cache) Peek(addr uint64) bool {
 
 // PeekDirty reports (present, dirty) without touching recency or stats.
 func (c *Cache) PeekDirty(addr uint64) (present, dirty bool) {
-	setBase, tag := c.locate(addr)
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
-	for i, t := range tags {
-		if t == tag {
-			return true, meta[i]&metaDirty != 0
+	set, _, key := c.locate(addr)
+	low := c.low()
+	for _, w := range set {
+		if w&^low == key {
+			return true, w&c.dirtyBit != 0
 		}
 	}
 	return false, false
@@ -336,52 +332,51 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 //
 //lint:hotpath
 func (c *Cache) FillFrame(addr uint64, dirty bool) (Victim, uint64) {
-	setBase, tag := c.locate(addr)
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
+	set, setBase, key := c.locate(addr)
 	way := -1
-	for i, t := range tags {
-		if t == 0 {
+	for i, w := range set {
+		if w == 0 {
 			way = i
 			break
 		}
 	}
 	v := Victim{}
-	var rank uint8
+	var rank uint32
 	if way >= 0 {
 		// The line joins the set's k valid lines at rank k.
-		for _, t := range tags {
-			if t != 0 {
+		for _, w := range set {
+			if w != 0 {
 				rank++
 			}
 		}
 	} else {
 		// Full set: evict rank 0. Every other line moves down one rank; the
-		// victim's byte wraps, harmlessly, since its frame is overwritten
+		// victim's word borrows, harmlessly, since its frame is overwritten
 		// below.
-		var victim uint8
-		for i, m := range meta {
-			if m&rankMask == 0 {
-				way, victim = i, m
+		var victim uint32
+		rankMask := c.rankMask
+		for i, w := range set {
+			if w&rankMask == 0 {
+				way, victim = i, w
 			}
-			meta[i] = m - 1
+			set[i] = w - 1
 		}
 		v.Valid = true
-		v.Dirty = victim&metaDirty != 0
+		v.Dirty = victim&c.dirtyBit != 0
 		// The victim shares the incoming line's set, so its set index is the
 		// shift/mask form rather than setBase/ways (ways need not be pow2).
-		v.Addr = c.reconstruct(c.SetIndex(addr), uint64(tags[way]-1))
+		v.Addr = c.reconstruct(c.SetIndex(addr), uint64(victim>>c.tagShift-1))
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.DirtyEvicts++
 		}
-		rank = uint8(len(meta) - 1)
+		rank = uint32(len(set) - 1)
 	}
-	m := rank
+	w := key | rank
 	if dirty {
-		m |= metaDirty
+		w |= c.dirtyBit
 	}
-	tags[way], meta[way] = tag, m
+	set[way] = w
 	c.stats.Fills++
 	c.sanCheckFill(setBase, v.Valid)
 	return v, setBase + uint64(way)
@@ -392,17 +387,15 @@ func (c *Cache) FillFrame(addr uint64, dirty bool) (Victim, uint64) {
 //
 //lint:hotpath
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	setBase, tag := c.locate(addr)
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
-	for i, t := range tags {
-		if t == tag {
-			m := meta[i]
-			tags[i], meta[i] = 0, 0
-			demoteAbove(meta, m&rankMask)
+	set, setBase, key := c.locate(addr)
+	low := c.low()
+	for i, w := range set {
+		if w&^low == key {
+			set[i] = 0
+			c.demoteAbove(set, w&c.rankMask)
 			c.stats.Invalidates++
 			c.sanCheckInvalidate(setBase, true)
-			return true, m&metaDirty != 0
+			return true, w&c.dirtyBit != 0
 		}
 	}
 	c.sanCheckInvalidate(setBase, false)
@@ -414,13 +407,12 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 //
 //lint:hotpath
 func (c *Cache) CleanLine(addr uint64) {
-	setBase, tag := c.locate(addr)
+	set, setBase, key := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
-	for i, t := range tags {
-		if t == tag {
-			meta[i] &^= metaDirty
+	low := c.low()
+	for i, w := range set {
+		if w&^low == key {
+			set[i] = w &^ c.dirtyBit
 			return
 		}
 	}
@@ -434,8 +426,8 @@ func (c *Cache) reconstruct(set, lineTag uint64) uint64 {
 // Occupancy returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) Occupancy() uint64 {
 	var n uint64
-	for _, t := range c.tags {
-		if t != 0 {
+	for _, w := range c.frames {
+		if w != 0 {
 			n++
 		}
 	}

@@ -28,10 +28,10 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestFrameSize pins the frame at 5 bytes, a 4-byte tag and a 1-byte meta:
-// a Table I System's 524,288 LLC frames take 2.5 MiB. It measures what New
-// allocates for a 2 MiB LLC bank, whose 32,768 frames dwarf the Cache
-// header.
+// TestFrameSize pins the frame at one 4-byte word holding the tag, the
+// dirty bit and the rank: a Table I System's 524,288 LLC frames take
+// 2 MiB. It measures what New allocates for a 2 MiB LLC bank, whose
+// 32,768 frames dwarf the Cache header.
 func TestFrameSize(t *testing.T) {
 	cfg := Config{Name: "bank", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}
 	var before, after runtime.MemStats
@@ -41,8 +41,8 @@ func TestFrameSize(t *testing.T) {
 	runtime.KeepAlive(c)
 	frames := c.Lines()
 	got := after.TotalAlloc - before.TotalAlloc
-	if got < 5*frames || got > 5*frames+1024 {
-		t.Errorf("New allocated %d bytes for %d frames, want 5 per frame (%d) plus a header", got, frames, 5*frames)
+	if got < 4*frames || got > 4*frames+1024 {
+		t.Errorf("New allocated %d bytes for %d frames, want 4 per frame (%d) plus a header", got, frames, 4*frames)
 	}
 }
 
@@ -163,10 +163,11 @@ func TestPeekDoesNotDisturbLRUOrStats(t *testing.T) {
 
 func TestVictimAddressReconstruction(t *testing.T) {
 	// A one-frame cache has no set bits, so its tag is the whole line
-	// address: addresses up to 6+MaxTagBits bits are in range. The last
-	// case puts the evicting line at the very top of that range.
+	// address: addresses up to 6+MaxTagBits bits are in range. The third
+	// case carries a tag of the full 30 bits, and the last puts the
+	// evicting line at the very top of that range.
 	top := uint64(1)<<(6+MaxTagBits) - 64
-	addrs := []uint64{0x0, 0xDEAD40, 0x1234567880, top - 1<<20}
+	addrs := []uint64{0x0, 0xDEAD40, 0xA34567880, top - 1<<20}
 	for _, a := range addrs {
 		c := MustNew(Config{Name: "one", SizeBytes: 64, Ways: 1, LineBytes: 64})
 		c.Fill(a, false)
@@ -177,20 +178,40 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	}
 }
 
+// TestCheckTagWidth pins each geometry's tag limit, 30-⌈log2 ways⌉ bits:
+// one row per associativity at its limit (builds) and one a bit over
+// (errors).
 func TestCheckTagWidth(t *testing.T) {
 	cases := []struct {
 		cfg      Config
 		addrBits uint
 		ok       bool
 	}{
-		// Table I at 40-bit addresses (16 cores above bit 36).
+		// Table I at 40-bit addresses (16 cores above bit 36): 27 of 28,
+		// 25 of 27 and 23 of 26 tag bits.
 		{Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 4, LineBytes: 64}, 40, true},
 		{Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineBytes: 64}, 40, true},
 		{Config{Name: "L3", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}, 40, true},
-		// One set: the tag is everything above the 6 offset bits.
-		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 6 + MaxTagBits, true},
-		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 7 + MaxTagBits, false},
+		// 1 way, 30 tag bits. One set: the tag is everything above the 6
+		// offset bits.
+		{Config{Name: "dm", SizeBytes: 64, Ways: 1, LineBytes: 64}, 6 + 30, true},
+		{Config{Name: "dm", SizeBytes: 64, Ways: 1, LineBytes: 64}, 6 + 31, false},
+		// 4 ways, 28 bits: the smallest L1 at 40-bit addresses is 16 KiB.
+		{Config{Name: "L1-16K", SizeBytes: 16 << 10, Ways: 4, LineBytes: 64}, 40, true},
+		{Config{Name: "L1-8K", SizeBytes: 8 << 10, Ways: 4, LineBytes: 64}, 40, false},
+		// 8 ways, 27 bits: the smallest L2 at 40-bit addresses is 64 KiB.
+		{Config{Name: "L2-64K", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64}, 40, true},
+		{Config{Name: "L2-32K", SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}, 40, false},
+		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 6 + 27, true},
+		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 6 + 28, false},
 		{Config{Name: "one", SizeBytes: 512, Ways: 8, LineBytes: 64}, 40, false},
+		// 16 ways, 26 bits: the smallest LLC bank at 40-bit addresses is
+		// 256 KiB.
+		{Config{Name: "L3-256K", SizeBytes: 256 << 10, Ways: 16, LineBytes: 64}, 40, true},
+		{Config{Name: "L3-128K", SizeBytes: 128 << 10, Ways: 16, LineBytes: 64}, 40, false},
+		// 128 ways, 23 bits.
+		{Config{Name: "wide", SizeBytes: 128 * 64, Ways: 128, LineBytes: 64}, 6 + 23, true},
+		{Config{Name: "wide", SizeBytes: 128 * 64, Ways: 128, LineBytes: 64}, 6 + 24, false},
 		// A bad geometry is reported whatever the width.
 		{Config{Name: "bad", SizeBytes: 64, Ways: 8, LineBytes: 64}, 8, false},
 		{Config{Name: "wide", SizeBytes: 128 * 64, Ways: 128, LineBytes: 64}, 8, true},

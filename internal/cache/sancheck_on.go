@@ -18,59 +18,62 @@ type sanState struct {
 const sanSweepInterval = 4096
 
 // sanCheckTag validates that addr's line tag fits a frame: a wider tag
-// would be truncated into the 32-bit field and alias another line. Every
-// probe, fill and invalidation passes here, so every tag a frame stores is
-// in range.
+// would be truncated into the frame's tag field and alias another line.
+// Every probe, fill and invalidation passes here, so every tag a frame
+// stores is in range.
 func (c *Cache) sanCheckTag(addr, lineTag uint64) {
-	if lineTag >= 1<<MaxTagBits {
-		sancheck.Failf("cache %s: address %#x has line tag %#x, wider than the %d bits a frame stores (tag would alias)",
-			c.cfg.Name, addr, lineTag, MaxTagBits)
+	if bits := c.tagBits(); lineTag >= 1<<bits {
+		sancheck.Failf("cache %s: address %#x has line tag %#x, wider than the %d bits a %d-way frame stores (tag would alias)",
+			c.cfg.Name, addr, lineTag, bits, c.ways)
 	}
 }
 
+// tagBits is the widest line tag a frame of c stores.
+func (c *Cache) tagBits() uint { return MaxTagBits + 1 - c.tagShift }
+
 // sanCheckSet validates the structural invariants of one set: an empty way
-// carries meta 0 (Invalidate must fully scrub the frame, leaving no stale
-// dirty bit or rank), a valid way stores a line tag below 2^MaxTagBits, no
+// is the word 0 (Invalidate must fully scrub the frame, leaving no stale
+// dirty bit or rank), a valid way stores a line tag below 2^tagBits, no
 // two valid ways in a set hold the same tag, and the ranks of the set's k
 // valid ways are a permutation of 0..k-1 (a duplicated rank would make
 // two lines equally recent, a rank at or above k would leave a gap).
 func (c *Cache) sanCheckSet(setBase uint64) {
-	end := setBase + c.ways
-	tags, meta := c.tags[setBase:end], c.meta[setBase:end]
-	set := setBase / c.ways
-	var k uint8
-	for _, t := range tags {
-		if t != 0 {
+	set := c.frames[setBase : setBase+c.ways]
+	index := setBase / c.ways
+	var k uint32
+	for _, w := range set {
+		if w != 0 {
 			k++
 		}
 	}
 	var seen [maxWays / 64]uint64
-	for i, t := range tags {
-		if t == 0 {
-			if meta[i] != 0 {
-				sancheck.Failf("cache %s: set %d way %d is empty but carries meta %#x (frame not scrubbed)",
-					c.cfg.Name, set, i, meta[i])
-			}
+	for i, w := range set {
+		if w == 0 {
 			continue
 		}
-		if t-1 >= 1<<MaxTagBits {
-			sancheck.Failf("cache %s: set %d way %d stores line tag %#x, wider than the %d bits a frame holds",
-				c.cfg.Name, set, i, t-1, MaxTagBits)
+		tag := w >> c.tagShift
+		if tag == 0 {
+			sancheck.Failf("cache %s: set %d way %d is empty but carries word %#x (frame not scrubbed)",
+				c.cfg.Name, index, i, w)
 		}
-		r := meta[i] & rankMask
+		if bits := c.tagBits(); tag-1 >= 1<<bits {
+			sancheck.Failf("cache %s: set %d way %d stores line tag %#x, wider than the %d bits a %d-way frame holds",
+				c.cfg.Name, index, i, tag-1, bits, c.ways)
+		}
+		r := w & c.rankMask
 		if r >= k {
 			sancheck.Failf("cache %s: set %d way %d has recency rank %d, outside the 0..%d its %d valid ways hold",
-				c.cfg.Name, set, i, r, k-1, k)
+				c.cfg.Name, index, i, r, k-1, k)
 		}
 		if seen[r/64]&(1<<(r%64)) != 0 {
 			sancheck.Failf("cache %s: recency rank %d duplicated in set %d (way %d)",
-				c.cfg.Name, r, set, i)
+				c.cfg.Name, r, index, i)
 		}
 		seen[r/64] |= 1 << (r % 64)
-		for j := i + 1; j < len(tags); j++ {
-			if tags[j] == t {
+		for j := i + 1; j < len(set); j++ {
+			if set[j]>>c.tagShift == tag {
 				sancheck.Failf("cache %s: tag %#x duplicated in set %d (ways %d and %d)",
-					c.cfg.Name, t, set, i, j)
+					c.cfg.Name, tag, index, i, j)
 			}
 		}
 	}

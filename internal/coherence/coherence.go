@@ -180,11 +180,11 @@ func (d *Directory) WriteAcquire(addr uint64, core int) (invalidated uint64, dir
 }
 
 // Release removes core's copy of addr (its private cache evicted the line).
-// dirty reports whether the private copy was dirty; the directory then
-// transitions M->I (data written back to LLC by the caller).
+// An M line goes to I; writing a dirty copy back to the LLC is the
+// caller's concern.
 //
 //lint:hotpath
-func (d *Directory) Release(addr uint64, core int, dirty bool) {
+func (d *Directory) Release(addr uint64, core int) {
 	d.checkCore(core)
 	d.sanCheckLine(addr)
 	i, ok := d.lines.find(addr)
@@ -199,7 +199,6 @@ func (d *Directory) Release(addr uint64, core int, dirty bool) {
 	// An E/M line's one sharer is its owner, so releasing the owner's copy
 	// untracks the line and any other core's release leaves it unchanged.
 	d.sanCheckTransition(addr, prev)
-	_ = dirty // dirtiness is the caller's write-back concern; tracked in stats by Shootdown/Acquire paths
 }
 
 // Shootdown back-invalidates every private copy of addr because the LLC is

@@ -48,7 +48,7 @@ func benchDirectory(b *testing.B, lines int) {
 		case 1:
 			d.WriteAcquire(a, core)
 		case 2:
-			d.Release(a, core, i&7 == 1)
+			d.Release(a, core)
 		default:
 			d.Shootdown(a)
 		}

@@ -119,16 +119,16 @@ func TestRelease(t *testing.T) {
 	d := dir()
 	d.ReadAcquire(0x180, 0)
 	d.ReadAcquire(0x180, 1)
-	d.Release(0x180, 0, false)
+	d.Release(0x180, 0)
 	if s := d.Sharers(0x180); len(s) != 1 || s[0] != 1 {
 		t.Errorf("sharers %v, want [1]", s)
 	}
-	d.Release(0x180, 1, false)
+	d.Release(0x180, 1)
 	if d.StateOf(0x180) != Invalid || d.TrackedLines() != 0 {
 		t.Error("line should be untracked after last release")
 	}
 	// Releasing an untracked line is a no-op.
-	d.Release(0x180, 0, false)
+	d.Release(0x180, 0)
 }
 
 func TestReleaseOwnerDowngradesRemaining(t *testing.T) {
@@ -136,7 +136,7 @@ func TestReleaseOwnerDowngradesRemaining(t *testing.T) {
 	d.ReadAcquire(0x1C0, 0) // E owned by 0
 	d.ReadAcquire(0x1C0, 1) // S
 	// Re-acquire E is impossible now; simulate owner release under S.
-	d.Release(0x1C0, 0, false)
+	d.Release(0x1C0, 0)
 	if d.StateOf(0x1C0) != Shared {
 		t.Errorf("state %v, want S", d.StateOf(0x1C0))
 	}
@@ -203,7 +203,7 @@ func TestDirectoryInvariantsProperty(t *testing.T) {
 			case 1:
 				d.WriteAcquire(addr, core)
 			case 2:
-				d.Release(addr, core, false)
+				d.Release(addr, core)
 			case 3:
 				d.Shootdown(addr)
 			}

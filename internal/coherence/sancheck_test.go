@@ -95,12 +95,12 @@ func TestSanitizerCatchesMiscountedTable(t *testing.T) {
 func TestSanitizerAcceptsLegalTraffic(t *testing.T) {
 	d := MustNewDirectory(4)
 	const addr = 0x2000
-	d.ReadAcquire(addr, 0)    // I -> E
-	d.ReadAcquire(addr, 1)    // E -> S (downgrade)
-	d.WriteAcquire(addr, 1)   // S -> M (upgrade, invalidates core 0)
-	d.Release(addr, 1, true)  // M -> I
-	d.Release(addr, 1, false) // I -> I (untracked release is a no-op)
-	d.WriteAcquire(addr, 2)   // I -> M
+	d.ReadAcquire(addr, 0)  // I -> E
+	d.ReadAcquire(addr, 1)  // E -> S (downgrade)
+	d.WriteAcquire(addr, 1) // S -> M (upgrade, invalidates core 0)
+	d.Release(addr, 1)      // M -> I
+	d.Release(addr, 1)      // I -> I (untracked release is a no-op)
+	d.WriteAcquire(addr, 2) // I -> M
 	if _, dirty := d.Shootdown(addr); !dirty {
 		t.Fatal("shootdown of an M line must report dirty")
 	}

@@ -47,15 +47,16 @@ func DefaultConfig() Config {
 
 // Wear tracks per-frame write counts for every LLC bank.
 //
-// A frame's count is kept in two parts: the low 16 bits in frames, and
-// the carries above them in high. The paper's windows charge a frame far
-// fewer than 65,536 writes, so high stays nil until some frame passes
-// 65,535 writes, and then holds only the frames that have. The full
-// count, high[i]<<16 | frames[i], is exact for any window length.
+// A frame's count is kept in two parts: the low 8 bits in frames, and the
+// carries above them in high. The paper's measured windows charge a frame
+// a few writes (at most 10 at 400K instructions per core), so high stays
+// nil until some frame passes 255 writes, and then holds only the frames
+// that have. The full count, high[i]<<8 | frames[i], is exact for
+// any window length.
 type Wear struct {
 	cfg        Config
-	frames     []uint16          // [bank*FramesPerBank+frame] -> writes mod 2^16
-	high       map[uint64]uint64 // frame index -> writes>>16; nil until the first wrap
+	frames     []uint8           // [bank*FramesPerBank+frame] -> writes mod 2^8
+	high       map[uint64]uint64 // frame index -> writes>>8; nil until the first wrap
 	bankWrites []uint64
 	maxFrame   []uint64 // running per-bank hottest frame count
 	san        sanState // wear-monotonicity shadow; zero-size without the simcheck tag
@@ -79,7 +80,7 @@ func New(cfg Config) (*Wear, error) {
 	}
 	return &Wear{
 		cfg:        cfg,
-		frames:     make([]uint16, uint64(cfg.Banks)*cfg.FramesPerBank),
+		frames:     make([]uint8, uint64(cfg.Banks)*cfg.FramesPerBank),
 		bankWrites: make([]uint64, cfg.Banks),
 		maxFrame:   make([]uint64, cfg.Banks),
 	}, nil
@@ -130,7 +131,7 @@ func (w *Wear) carry(i uint64) uint64 {
 
 // count returns the full write count of frame index i.
 func (w *Wear) count(i uint64) uint64 {
-	return w.high[i]<<16 | uint64(w.frames[i])
+	return w.high[i]<<8 | uint64(w.frames[i])
 }
 
 // Reset zeroes all wear state (warmup/measure boundary).

@@ -167,12 +167,12 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestCarryKeepsCountsExact drives one frame across the 16-bit low word's
-// wrap, with a second frame of the same bank written around it, and
-// checks the bank's counters and first-failure lifetime against their
-// closed forms, then that Reset drops the carries.
+// TestCarryKeepsCountsExact drives one frame across the 8-bit low word's
+// wrap, once and many times over, with a second frame of the same bank
+// written around it, and checks the bank's counters and first-failure
+// lifetime against their closed forms, then that Reset drops the carries.
 func TestCarryKeepsCountsExact(t *testing.T) {
-	for _, n := range []uint64{65_535, 65_536, 70_000} {
+	for _, n := range []uint64{255, 256, 1_000, 70_000} {
 		w := tiny()
 		w.RecordWrite(1, 4)
 		w.RecordWrite(1, 4)
@@ -194,8 +194,8 @@ func TestCarryKeepsCountsExact(t *testing.T) {
 		if got := w.FirstFailureLifetimeYears(1, 1e9); math.Abs(got-want)/want > 1e-12 {
 			t.Errorf("n=%d: first-failure lifetime = %v years, want %v", n, got, want)
 		}
-		if wrapped := n > 1<<16-1; (w.high != nil) != wrapped {
-			t.Errorf("n=%d: carries %v, want a carry only past 65,535 writes", n, w.high)
+		if wrapped := n > 1<<8-1; (w.high != nil) != wrapped {
+			t.Errorf("n=%d: carries %v, want a carry only past 255 writes", n, w.high)
 		}
 
 		w.Reset()

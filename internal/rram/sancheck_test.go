@@ -24,8 +24,8 @@ func TestSanitizerCatchesCorruptCounters(t *testing.T) {
 		{
 			name: "wrap",
 			corrupt: func(w *Wear) {
-				w.frames[i] = ^uint16(0)
-				w.high = map[uint64]uint64{i: 1<<48 - 1}
+				w.frames[i] = ^uint8(0)
+				w.high = map[uint64]uint64{i: 1<<56 - 1}
 			},
 			frame: 5,
 			frags: []string{"bank 1", "frame 5", "wrapped"},

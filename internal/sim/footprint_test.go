@@ -9,15 +9,13 @@ import (
 )
 
 // TestSystemFootprint pins the bytes one Table I System allocates at
-// construction. Its 524,288 LLC frames dominate: at 5 bytes a frame (a
-// tag and a meta byte holding the dirty bit and a per-set recency rank)
-// they take 2.5 MiB, where 8-byte frames with a global LRU clock took
-// 4.0 MiB and 16-byte frames 8.0 MiB (cache's TestFrameSize pins the
-// frame). The ReRAM wear tracker keeps a 2-byte write count per frame,
-// 1 MiB, with carries past 65,535 writes kept aside. The sixteen CPTs add
-// 10 KiB each, a 2-byte index per table entry plus a store for the PCs in
-// use. The whole System is about 4.2 MiB; 4-byte wear counts and CPT
-// positions made it 5.3 MiB.
+// construction. Its 524,288 LLC frames dominate: at 4 bytes a frame (one
+// word holding the tag, the dirty bit and a per-set recency rank) they
+// take 2 MiB (cache's TestFrameSize pins the frame). The ReRAM wear
+// tracker keeps a 1-byte write count per frame, 512 KiB, with carries
+// past 255 writes kept aside. The sixteen CPTs add 10 KiB each, a 2-byte
+// index per table entry plus a store for the PCs in use. The whole System
+// is about 3.1 MiB (DESIGN.md §6 gives the history of each array).
 func TestSystemFootprint(t *testing.T) {
 	cfg := DefaultConfig(nuca.ReNUCA)
 	apps := testApps(cfg.Cores)
@@ -29,7 +27,7 @@ func TestSystemFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(s)
-	const limit = 4.3 * (1 << 20)
+	const limit = 3.2 * (1 << 20)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("sim.New allocated %d bytes (%.2f MiB)", got, float64(got)/(1<<20))
 	if float64(got) > limit {
@@ -103,11 +101,53 @@ func TestNewRejectsTagOverflow(t *testing.T) {
 			t.Errorf("case %d built; want a tag-width error", i)
 		}
 	}
-	// One core narrows addresses to 36 bits, where a 1-set L2 leaves 30
-	// tag bits: that fits and must build.
+	// One core narrows addresses to 36 bits, where an 8-set L2 leaves 27
+	// tag bits, the most an 8-way frame stores: that must build, and a
+	// 4-set L2 one bit over must not.
 	cfg := CharacterisationConfig()
-	cfg.L2.SizeBytes = 512
+	cfg.L2.SizeBytes = 4 << 10
 	if _, err := New(cfg, testApps(cfg.Cores)); err != nil {
-		t.Errorf("1-core 1-set L2 at 36-bit addresses: %v", err)
+		t.Errorf("1-core 8-set L2 at 36-bit addresses: %v", err)
+	}
+	cfg.L2.SizeBytes = 2 << 10
+	if _, err := New(cfg, testApps(cfg.Cores)); err == nil {
+		t.Error("1-core 4-set L2 at 36-bit addresses built; want a tag-width error")
+	}
+}
+
+// TestNewBuildsPaperGeometries builds Table I and every geometry the paper
+// sweeps (L2 128/256 KiB × LLC bank 1/2 MiB) at 16 cores, whose 40-bit
+// addresses set the smallest caches a frame's tag field allows: L1 16 KiB,
+// L2 64 KiB and LLC bank 256 KiB. Each of those builds, and half of it
+// does not.
+func TestNewBuildsPaperGeometries(t *testing.T) {
+	for _, l2 := range []uint64{128 << 10, 256 << 10} {
+		for _, bank := range []uint64{1 << 20, 2 << 20} {
+			cfg := DefaultConfig(nuca.ReNUCA)
+			cfg.L2.SizeBytes = l2
+			cfg.LLC.BankBytes = bank
+			if _, err := New(cfg, testApps(cfg.Cores)); err != nil {
+				t.Errorf("L2 %d KiB, bank %d KiB: %v", l2>>10, bank>>10, err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(c *Config, bytes uint64)
+		min  uint64
+	}{
+		{"L1", func(c *Config, n uint64) { c.L1.SizeBytes = n }, 16 << 10},
+		{"L2", func(c *Config, n uint64) { c.L2.SizeBytes = n }, 64 << 10},
+		{"LLC bank", func(c *Config, n uint64) { c.LLC.BankBytes = n }, 256 << 10},
+	} {
+		cfg := DefaultConfig(nuca.ReNUCA)
+		tc.set(&cfg, tc.min)
+		if _, err := New(cfg, testApps(cfg.Cores)); err != nil {
+			t.Errorf("%s of %d KiB: %v", tc.name, tc.min>>10, err)
+		}
+		tc.set(&cfg, tc.min/2)
+		if _, err := New(cfg, testApps(cfg.Cores)); err == nil {
+			t.Errorf("%s of %d KiB built; want a tag-width error", tc.name, tc.min>>11)
+		}
 	}
 }

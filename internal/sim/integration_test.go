@@ -193,8 +193,11 @@ func TestSingleTileMeshCharacterisation(t *testing.T) {
 // that LLCWrites already charged.
 func TestEnergyLLCAccountingDisjoint(t *testing.T) {
 	// Tiny private caches so store traffic produces L2 dirty evictions —
-	// and therefore LLC write lookups — within a short window.
+	// and therefore LLC write lookups — within a short window. Four cores
+	// narrow addresses to 38 bits, where these are the smallest caches a
+	// frame's tag field allows.
 	cfg := DefaultConfig(nuca.SNUCA)
+	cfg.Cores = 4
 	cfg.L1.SizeBytes = 4 << 10
 	cfg.L2.SizeBytes = 16 << 10
 	s, err := New(cfg, testApps(cfg.Cores))

@@ -132,10 +132,17 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 
 // acquire updates the MESI directory for core's L2 obtaining the line.
 //
+// The walk charges no latency, LLC write or wear for a remote copy:
+// neither a downgrade's snoop nor the write-back of a remote M line. The
+// evaluated multi-programmed workloads share no lines, so they never take
+// these paths; under the simcheck tag sanCheckUncharged panics if one
+// does, rather than let a sharing workload run undercharged (DESIGN.md §3).
+//
 //lint:hotpath
 func (s *System) acquire(line uint64, core int, forStore bool) {
 	if forStore {
-		invalidated, _ := s.dir.WriteAcquire(line, core)
+		invalidated, dirtyWB := s.dir.WriteAcquire(line, core)
+		sanCheckUncharged(line, core, 0, dirtyWB)
 		for m := invalidated; m != 0; m &= m - 1 {
 			h := bits.TrailingZeros64(m)
 			s.l1[h].Invalidate(line)
@@ -143,11 +150,8 @@ func (s *System) acquire(line uint64, core int, forStore bool) {
 		}
 		return
 	}
-	downgraded, _ := s.dir.ReadAcquire(line, core)
-	// Downgrades keep the data in place (M was written back to the LLC by
-	// the protocol); our multi-programmed workloads never take this path,
-	// but the transition is honoured for generality.
-	_ = downgraded
+	downgraded, dirtyWB := s.dir.ReadAcquire(line, core)
+	sanCheckUncharged(line, core, downgraded, dirtyWB)
 }
 
 // fillL1 installs the line into core's L1 (dirty for stores) and cascades
@@ -194,7 +198,7 @@ func (s *System) handleL2Victim(core int, v cacheVictim, t uint64) {
 		dirty = true
 	}
 	line := v.Addr &^ s.lineMask
-	s.dir.Release(line, core, dirty)
+	s.dir.Release(line, core)
 	if !dirty {
 		return
 	}

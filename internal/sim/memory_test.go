@@ -152,10 +152,13 @@ func TestReNUCAMBVLifecycleThroughWalk(t *testing.T) {
 
 func TestLLCVictimShootdownInvalidatesUpperLevels(t *testing.T) {
 	cfg := DefaultConfig(nuca.SNUCA)
-	// Shrink the LLC so evictions happen quickly: 4KB banks, 4-way.
+	// Shrink the LLC so evictions happen quickly: 4KB banks, 4-way. Four
+	// cores narrow addresses to 38 bits, where that is the smallest 4-way
+	// bank a frame's tag field allows.
+	cfg.Cores = 4
 	cfg.LLC.BankBytes = 4096
 	cfg.LLC.Ways = 4
-	s, err := New(cfg, testApps(16))
+	s, err := New(cfg, testApps(cfg.Cores))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +303,7 @@ func TestFallbackHitRelearnsMappingBit(t *testing.T) {
 	// entry — and the re-learned bit — stay resident.
 	s.l1[0].Invalidate(pa)
 	s.l2[0].Invalidate(pa)
-	s.dir.Release(pa, 0, false)
+	s.dir.Release(pa, 0)
 
 	// Second re-access must take the single R-NUCA probe: no new fallback
 	// probes anywhere in the walk.

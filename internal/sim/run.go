@@ -39,9 +39,13 @@ const halted = ^uint64(0)
 // instructions. A core halts once it crosses its target: its statistics
 // freeze and it stops generating traffic. (Letting finished cores run on
 // would keep late-window contention marginally more realistic for the
-// slowest core, but multiplies wall-clock by the IPC spread; the finished
-// cores are the low-write ones, so wear distributions are essentially
-// unaffected.) It returns an error if the safety cycle bound is exceeded.
+// slowest core, but multiplies wall-clock by the IPC spread.) Halting
+// dilutes wear: rram divides every bank's writes by the slowest core's
+// window, so a fast core's writes are spread over cycles in which it no
+// longer ran. Under Private on WL1, bwaves' bank reads 7.87 years, but
+// 0.96 years at bwaves' own rate. ROADMAP item 2 is the open fix: charge
+// each core's writes at its own rate. Run returns an error if the safety
+// cycle bound is exceeded.
 //
 // Each scheduler pass ticks every core due at the current cycle and, in
 // the same sweep, tracks the earliest wake among running cores, so the

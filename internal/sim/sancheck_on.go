@@ -16,3 +16,13 @@ func sanCheckAbsent(c *cache.Cache, core int, pa uint64) {
 			core, pa, c.Config().Name)
 	}
 }
+
+// sanCheckUncharged asserts that core's directory acquire of line took
+// none of the paths System.acquire does not charge: a downgrade of remote
+// copies or the write-back of a dirty one.
+func sanCheckUncharged(line uint64, core int, downgraded uint64, dirtyWB bool) {
+	if downgraded != 0 || dirtyWB {
+		sancheck.Failf("sim: core %d acquires line %#x with downgrades %#x and dirty write-back %v, which the walk does not charge",
+			core, line, downgraded, dirtyWB)
+	}
+}
