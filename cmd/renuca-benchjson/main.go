@@ -33,7 +33,10 @@
 // summary missing it fails (the benchmark silently vanished). Two
 // summaries whose host fingerprints differ, or either of which has none,
 // are not compared: the guard exits 2, because a gap between two hosts says
-// nothing about the code. When -baseline is given, stdin is not read.
+// nothing about the code. Nor is a sub-microsecond benchmark one of whose
+// samples ran a single iteration (or whose summary predates iteration
+// counts): its ns/op is one cold call plus the timer's overhead, so the
+// guard exits 2 for it too. When -baseline is given, stdin is not read.
 package main
 
 import (
@@ -45,6 +48,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,6 +69,9 @@ type Entry struct {
 	// Samples is how many result lines (runs) were folded; -count=N yields
 	// N samples per benchmark.
 	Samples int `json:"samples"`
+	// Iterations is each sample's b.N in log order: -benchtime=200000x
+	// gives 200000 per sample, and a single-shot sample reads 1.
+	Iterations []int `json:"iterations,omitempty"`
 	// MedianNsPerOp is the median ns/op over the samples, and MinNsPerOp
 	// and MaxNsPerOp their extremes.
 	MedianNsPerOp float64 `json:"median_ns_per_op"`
@@ -158,7 +165,10 @@ func spread(xs []float64) (med, lo, hi float64) {
 // summarize copies the bench log in r to w line by line and folds its
 // result lines into one Entry per benchmark, in first-seen order.
 func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
-	type columns struct{ ns, bytes, allocs []float64 }
+	type columns struct {
+		ns, bytes, allocs []float64
+		iters             []int
+	}
 	samples := make(map[string]*columns)
 	var order []string
 	sc := bufio.NewScanner(r)
@@ -174,6 +184,10 @@ func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
 		if err != nil {
 			continue
 		}
+		n, err := strconv.Atoi(m[2])
+		if err != nil {
+			continue
+		}
 		col := samples[m[1]]
 		if col == nil {
 			col = &columns{}
@@ -181,6 +195,7 @@ func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
 			order = append(order, m[1])
 		}
 		col.ns = append(col.ns, ns)
+		col.iters = append(col.iters, n)
 		col.bytes = appendColumn(col.bytes, bytesCol, line)
 		col.allocs = appendColumn(col.allocs, allocsCol, line)
 	}
@@ -201,6 +216,7 @@ func summarize(r io.Reader, w io.Writer) ([]Entry, error) {
 		e := Entry{
 			Name:          name,
 			Samples:       len(col.ns),
+			Iterations:    col.iters,
 			MedianNsPerOp: med,
 			MinNsPerOp:    lo,
 			MaxNsPerOp:    hi,
@@ -245,14 +261,23 @@ func loadDoc(path string) (Doc, error) {
 	return d, nil
 }
 
-// perSecOf finds the guarded benchmark's per_sec in a summary.
-func perSecOf(d Doc, name string) (float64, bool) {
+// entryOf finds the guarded benchmark's entry in a summary.
+func entryOf(d Doc, name string) (Entry, bool) {
 	for _, e := range d.Benchmarks {
 		if e.Name == name {
-			return e.PerSec, true
+			return e, true
 		}
 	}
-	return 0, false
+	return Entry{}, false
+}
+
+// singleShot reports whether e is a sub-microsecond benchmark (above a
+// million per second) with a sample timed at one iteration, or with no
+// iteration counts recorded, as in summaries written before they were.
+// Such a figure is one cold call plus the timer's overhead, not the
+// benchmark's steady-state cost.
+func singleShot(e Entry) bool {
+	return e.PerSec > 1e6 && (len(e.Iterations) == 0 || slices.Contains(e.Iterations, 1))
 }
 
 // runGuard is the compare mode: it returns the process exit code so the
@@ -285,16 +310,22 @@ func runGuard(w io.Writer, baselinePath, currentPath, guard string, maxDropPct f
 			describeHost(base.Host), describeHost(cur.Host), loads)
 		return 2
 	}
-	curPS, ok := perSecOf(cur, guard)
+	curE, ok := entryOf(cur, guard)
 	if !ok {
 		fmt.Fprintf(w, "renuca-benchjson: guard FAIL: %s missing from %s%s\n", guard, currentPath, loads)
 		return 1
 	}
-	basePS, ok := perSecOf(base, guard)
+	baseE, ok := entryOf(base, guard)
 	if !ok {
 		fmt.Fprintf(w, "renuca-benchjson: guard: %s not in baseline %s yet; passing%s\n", guard, baselinePath, loads)
 		return 0
 	}
+	if singleShot(baseE) || singleShot(curE) {
+		fmt.Fprintf(w, "renuca-benchjson: guard refused: %s is sub-microsecond and a summary timed it at one iteration or recorded no counts (baseline %s, current %s); rerun it at a fixed -benchtime=Nx%s\n",
+			guard, describeIters(baseE.Iterations), describeIters(curE.Iterations), loads)
+		return 2
+	}
+	curPS, basePS := curE.PerSec, baseE.PerSec
 	if basePS <= 0 {
 		fmt.Fprintf(w, "renuca-benchjson: guard: baseline per_sec %v unusable; passing%s\n", basePS, loads)
 		return 0
@@ -310,6 +341,15 @@ func runGuard(w io.Writer, baselinePath, currentPath, guard string, maxDropPct f
 	fmt.Fprintf(w, "renuca-benchjson: guard OK: %s per_sec %.4f vs baseline %.4f (%+.1f%%, max allowed drop %.1f%%)%s\n",
 		guard, curPS, basePS, curPS/basePS*100-100, maxDropPct, loads)
 	return 0
+}
+
+// describeIters renders a sample's iteration counts for the guard's
+// refusal message.
+func describeIters(n []int) string {
+	if len(n) == 0 {
+		return "iterations none recorded"
+	}
+	return fmt.Sprintf("iterations %v", n)
 }
 
 // describeLoad renders a summary's load1 for the guard's verdict lines.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -84,6 +85,11 @@ func TestSummarizeMemoryColumns(t *testing.T) {
 		*e.MinAllocsPerOp != 215 || *e.MaxAllocsPerOp != 217 {
 		t.Errorf("NewSystem memory extremes: bytes %v..%v allocs %v..%v",
 			*e.MinBytesPerOp, *e.MaxBytesPerOp, *e.MinAllocsPerOp, *e.MaxAllocsPerOp)
+	}
+	for i, want := range [][]int{{10, 10, 10}, {1000000}, {1}} {
+		if got := entries[i].Iterations; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: iterations %v, want %v", entries[i].Name, got, want)
+		}
 	}
 	if e := entries[1]; e.MinNsPerOp != 55.5 || e.MaxNsPerOp != 55.5 || *e.MinAllocsPerOp != 0 || *e.MaxAllocsPerOp != 0 {
 		t.Errorf("single-sample extremes must equal the median: %+v", e)
@@ -195,6 +201,44 @@ func TestRunGuard(t *testing.T) {
 			t.Fatalf("missing -current/-guard returned %d, want 2", code)
 		}
 	})
+}
+
+// TestRunGuardRefusesSingleShot: a sub-microsecond benchmark is compared
+// only when every sample of both summaries ran more than one iteration. A
+// single-shot sample, or a summary without iteration counts, exits 2
+// without judging the figures, even a collapse; a benchmark slower than a
+// microsecond is judged at one iteration as before.
+func TestRunGuardRefusesSingleShot(t *testing.T) {
+	const guard = "BenchmarkWalk/S-NUCA"
+	dir := t.TempDir()
+	fast := func(ps float64, iters ...int) []Entry {
+		return []Entry{{Name: guard, PerSec: ps, Iterations: iters}}
+	}
+	steady := writeDoc(t, dir, "steady.json", fast(1.6e7, 200000, 200000))
+	for _, tc := range []struct {
+		name     string
+		baseline string
+		current  []Entry
+		wantCode int
+		wantMsg  string
+	}{
+		{"both steady", steady, fast(1.5e7, 200000, 200000), 0, "guard OK"},
+		{"steady collapse judged", steady, fast(1e6+1, 200000), 1, "guard FAIL"},
+		{"current single-shot", steady, fast(1e6+1, 200000, 1), 2, "current iterations [200000 1]"},
+		{"baseline without counts", writeDoc(t, dir, "old.json", fast(1.6e7)), fast(1.6e7, 200000), 2, "baseline iterations none recorded"},
+		{"slow benchmark at 1x", writeDoc(t, dir, "slow.json", fast(2, 1)), fast(1.9, 1), 0, "guard OK"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := writeDoc(t, dir, "cur.json", tc.current)
+			var out strings.Builder
+			if code := runGuard(&out, tc.baseline, cur, guard, 10); code != tc.wantCode {
+				t.Fatalf("exit code %d, want %d (output: %s)", code, tc.wantCode, out.String())
+			}
+			if !strings.Contains(out.String(), tc.wantMsg) {
+				t.Errorf("output %q does not contain %q", out.String(), tc.wantMsg)
+			}
+		})
+	}
 }
 
 // TestFingerprint: the summary's host fingerprint names this machine and

@@ -212,9 +212,7 @@ func main() {
 	ds := s.DRAM().Stats()
 	fmt.Printf("DRAM: reads=%d writes=%d row hit/miss/conflict=%d/%d/%d queue-cycles=%d\n",
 		ds.Reads, ds.Writes, ds.RowHits, ds.RowMisses, ds.RowConflicts, ds.QueueCycles)
-	cs := s.Directory().Stats()
-	fmt.Printf("MESI: readmiss=%d writemiss=%d inval=%d shootdowns=%d\n",
-		cs.ReadMisses, cs.WriteMisses, cs.Invalidations, cs.Shootdowns)
+	fmt.Printf("back-invalidations: shootdowns=%d\n", s.Directory().Shootdowns)
 	var tlbMiss, tlbLost uint64
 	for i := range o.Apps {
 		ts := s.TLB(i).Stats()

@@ -35,19 +35,25 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheFill measures the fill+evict cycle on an LLC-bank geometry
-// (2MB, 16-way): every probe misses and displaces a line.
+// BenchmarkCacheFill measures the miss+fill+evict cycle on an LLC-bank
+// geometry (2MB, 16-way). It cycles through four times as many distinct
+// lines as the bank holds, in a fixed scattered order (an odd multiplier
+// permutes the line numbers), so each set sees 64 other lines between two
+// visits to one line and LRU has always evicted it: every probe misses and
+// fills. fills/op reports that share, which reads 1; a probe stream that
+// fell back to hits would show below it.
 func BenchmarkCacheFill(b *testing.B) {
 	c := MustNew(Config{Name: "bench", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, Latency: 100})
-	addrs := benchAddrs(8192, 4*c.Lines())
+	mask := 4*c.Lines() - 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := addrs[i&8191]
+		a := (uint64(i) * 0x9E3779B97F4A7C15 & mask) << 6
 		if !c.Lookup(a, false) {
 			c.Fill(a, false)
 		}
 	}
+	b.ReportMetric(float64(c.Stats().Fills)/float64(b.N), "fills/op")
 }
 
 // TestLookupFrameDoesNotAllocate pins the hot probe path to zero heap

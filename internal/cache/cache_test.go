@@ -31,18 +31,28 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 // TestFrameSize pins the frame at one 4-byte word holding the tag, the
 // dirty bit and the rank: a Table I System's 524,288 LLC frames take
 // 2 MiB. It measures what New allocates for a 2 MiB LLC bank, whose
-// 32,768 frames dwarf the Cache header.
+// 32,768 frames dwarf the Cache header. TotalAlloc counts every
+// goroutine's allocations, so a runtime or test-harness goroutine can add
+// bytes to one window; the test keeps the smallest of up to five
+// constructions, which such noise can only inflate.
 func TestFrameSize(t *testing.T) {
 	cfg := Config{Name: "bank", SizeBytes: 2 << 20, Ways: 16, LineBytes: 64}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := MustNew(cfg)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
-	frames := c.Lines()
-	got := after.TotalAlloc - before.TotalAlloc
-	if got < 4*frames || got > 4*frames+1024 {
-		t.Errorf("New allocated %d bytes for %d frames, want 4 per frame (%d) plus a header", got, frames, 4*frames)
+	frames := cfg.SizeBytes / cfg.LineBytes
+	lo, hi := 4*frames, 4*frames+1024
+	got := ^uint64(0)
+	for try := 0; try < 5 && got > hi; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := MustNew(cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		if c.Lines() != frames {
+			t.Fatalf("New built %d frames, want %d", c.Lines(), frames)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got < lo || got > hi {
+		t.Errorf("New allocated %d bytes for %d frames, want 4 per frame (%d) plus a header", got, frames, lo)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 // invariantPkgs are the packages whose structural invariants the simcheck
 // sanitizer guards (matched by import-path suffix).
 var invariantPkgs = []string{
-	"/internal/coherence",
 	"/internal/cache",
 	"/internal/noc",
 	"/internal/dram",
@@ -33,7 +32,7 @@ var invariantPkgs = []string{
 func newInvariantCall() *Analyzer {
 	a := &Analyzer{
 		Name: "invariantcall",
-		Doc:  "exported state-mutating methods in coherence/cache/noc/dram/rram must call a sanCheck* simcheck hook",
+		Doc:  "exported state-mutating methods in cache/noc/dram/rram must call a sanCheck* simcheck hook",
 	}
 	a.Run = func(p *Pass) {
 		inScope := false

@@ -22,7 +22,7 @@
 //   - hotdiv: integer `/` and `%` by construction-time-fixed values in
 //     //lint:hotpath functions, where a mask/shift or memoised table applies;
 //   - invariantcall: exported state-mutating methods in the invariant-
-//     bearing packages (coherence, cache, noc, dram, rram) that do not call
+//     bearing packages (cache, noc, dram, rram) that do not call
 //     their package's sanCheck* simcheck hook.
 //
 // Intentional exceptions are annotated in place:

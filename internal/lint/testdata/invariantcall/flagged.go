@@ -1,4 +1,4 @@
-//lint:as fixture/internal/coherence
+//lint:as fixture/internal/dram
 
 // Package fixture is the invariantcall analyzer's corpus, loaded under an
 // invariant-bearing import path: exported state-mutating methods must call

@@ -1,9 +1,9 @@
 // Package sancheck anchors the simulator's runtime architectural-invariant
 // sanitizer. Building with `-tags simcheck` arms per-package sanCheck*
-// hooks (MESI transition legality and core-bitmask consistency in
-// coherence, per-set occupancy and conservation in cache, flit
-// conservation and latency bounds in noc, bank state-machine legality in
-// dram, wear monotonicity and endurance bounds in rram); without the tag
+// hooks (address ownership of every private-cache line in sim, per-set
+// occupancy and conservation in cache, flit conservation and latency
+// bounds in noc, bank state-machine legality in dram, wear monotonicity
+// and endurance bounds in rram); without the tag
 // the hooks are empty no-ops the compiler erases, which the zero-alloc
 // benchmarks verify. The invariantcall analyzer guarantees every exported
 // state-mutating method in those packages calls its hook, so coverage
@@ -28,7 +28,7 @@ func Failf(format string, args ...any) {
 	panic("sancheck: " + fmt.Sprintf(format, args...))
 }
 
-// Cores renders a sharer bitmask as a core list ("cores [1 3]") for
+// Cores renders a core bitmask as a core list ("cores [1 3]") for
 // diagnostics.
 func Cores(mask uint64) string {
 	var sb strings.Builder

@@ -1,15 +1,13 @@
 package sim
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/nuca"
 )
 
 // Load implements cpu.MemSystem: it resolves a load issued by core at
 // cycle, returning the data-available cycle, and mutates the hierarchy
-// (fills, evictions, wear, coherence) along the way.
+// (fills, evictions, wear, back-invalidations) along the way.
 //
 //lint:hotpath
 func (s *System) Load(core int, pc, addr uint64, critical bool, cycle uint64) uint64 {
@@ -35,7 +33,6 @@ func (s *System) Store(core int, pc, addr uint64, critical bool, cycle uint64) u
 //lint:hotpath
 func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forStore bool) uint64 {
 	pa := paddr(core, vaddr)
-	line := pa &^ s.lineMask
 	ctr := &s.counters[core]
 	t := cycle
 
@@ -103,7 +100,6 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 	}
 	if res.Hit {
 		ctr.LLCHits++
-		s.acquire(line, core, forStore)
 		t = s.mesh.DataTraverse(res.Bank, tile, t)
 		s.fillL2(core, pa, t)
 		s.fillL1(core, pa, forStore, t)
@@ -123,35 +119,10 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 		// Record which mapping function placed the line (Section IV-C).
 		s.tlbs[core].SetMappingBit(pa, critical)
 	}
-	s.acquire(line, core, forStore)
 	t = s.mesh.DataTraverse(fill.Bank, tile, tm)
 	s.fillL2(core, pa, t)
 	s.fillL1(core, pa, forStore, t)
 	return t
-}
-
-// acquire updates the MESI directory for core's L2 obtaining the line.
-//
-// The walk charges no latency, LLC write or wear for a remote copy:
-// neither a downgrade's snoop nor the write-back of a remote M line. The
-// evaluated multi-programmed workloads share no lines, so they never take
-// these paths; under the simcheck tag sanCheckUncharged panics if one
-// does, rather than let a sharing workload run undercharged (DESIGN.md §3).
-//
-//lint:hotpath
-func (s *System) acquire(line uint64, core int, forStore bool) {
-	if forStore {
-		invalidated, dirtyWB := s.dir.WriteAcquire(line, core)
-		sanCheckUncharged(line, core, 0, dirtyWB)
-		for m := invalidated; m != 0; m &= m - 1 {
-			h := bits.TrailingZeros64(m)
-			s.l1[h].Invalidate(line)
-			s.l2[h].Invalidate(line)
-		}
-		return
-	}
-	downgraded, dirtyWB := s.dir.ReadAcquire(line, core)
-	sanCheckUncharged(line, core, downgraded, dirtyWB)
 }
 
 // fillL1 installs the line into core's L1 (dirty for stores) and cascades
@@ -160,7 +131,7 @@ func (s *System) acquire(line uint64, core int, forStore bool) {
 //
 //lint:hotpath
 func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
-	sanCheckAbsent(s.l1[core], core, pa)
+	sanCheckFill(s, s.l1[core], core, pa)
 	v := s.l1[core].Fill(pa, dirty)
 	if v.Valid && v.Dirty {
 		// L1 dirty victim merges into L2 (enforced inclusive: present).
@@ -179,7 +150,7 @@ func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
 //
 //lint:hotpath
 func (s *System) fillL2(core int, pa uint64, t uint64) {
-	sanCheckAbsent(s.l2[core], core, pa)
+	sanCheckFill(s, s.l2[core], core, pa)
 	v := s.l2[core].Fill(pa, false)
 	if v.Valid {
 		s.handleL2Victim(core, v, t)
@@ -187,9 +158,9 @@ func (s *System) fillL2(core int, pa uint64, t uint64) {
 }
 
 // handleL2Victim processes an L2 eviction: the L1 copy is shot down to
-// preserve L1 subset of L2 (its dirtiness folds into the victim), the
-// directory releases the core's copy, and dirty data is written back to
-// the LLC — the write-back half of the paper's ReRAM write traffic.
+// preserve L1 subset of L2 (its dirtiness folds into the victim), and
+// dirty data is written back to the LLC — the write-back half of the
+// paper's ReRAM write traffic.
 //
 //lint:hotpath
 func (s *System) handleL2Victim(core int, v cacheVictim, t uint64) {
@@ -197,8 +168,6 @@ func (s *System) handleL2Victim(core int, v cacheVictim, t uint64) {
 	if _, d1 := s.l1[core].Invalidate(v.Addr); d1 {
 		dirty = true
 	}
-	line := v.Addr &^ s.lineMask
-	s.dir.Release(line, core)
 	if !dirty {
 		return
 	}
@@ -229,9 +198,13 @@ func (s *System) handleL2Victim(core int, v cacheVictim, t uint64) {
 	}
 }
 
-// handleLLCVictim processes an LLC eviction: inclusive shootdown of upper-
-// level copies, posted DRAM write-back of dirty data, and — under Re-NUCA —
-// resetting the owning core's MBV bit (Section IV-C).
+// handleLLCVictim processes an LLC eviction: inclusive shootdown of the
+// owning core's L1 and L2 copies, posted DRAM write-back of dirty data,
+// and — under Re-NUCA — resetting the owner's MBV bit (Section IV-C).
+//
+// Only the owner can hold the line: each core's addresses lie in their own
+// window, which coreOf reads back. So the shootdown needs no directory,
+// and invalidating an absent line changes nothing, not even a counter.
 //
 //lint:hotpath
 func (s *System) handleLLCVictim(v cacheVictim, t uint64) {
@@ -239,22 +212,22 @@ func (s *System) handleLLCVictim(v cacheVictim, t uint64) {
 		return
 	}
 	line := v.Addr &^ s.lineMask
-	holders, _ := s.dir.Shootdown(line)
+	owner := s.coreOf(line)
+	sanCheckSoleOwner(s, owner, line)
 	dirty := v.Dirty
-	for m := holders; m != 0; m &= m - 1 {
-		h := bits.TrailingZeros64(m)
-		if _, d := s.l1[h].Invalidate(line); d {
-			dirty = true
-		}
-		if _, d := s.l2[h].Invalidate(line); d {
-			dirty = true
-		}
+	if _, d := s.l1[owner].Invalidate(line); d {
+		dirty = true
+	}
+	if held, d := s.l2[owner].Invalidate(line); held {
+		s.inclusion.Shootdowns++
+		s.inclusion.Invalidations++
+		dirty = dirty || d
 	}
 	if dirty {
 		s.mem.Access(v.Addr, t, true) // posted
 	}
 	if s.cfg.LLC.Policy == nuca.ReNUCA {
-		s.tlbs[s.coreOf(v.Addr)].ClearMappingBit(v.Addr)
+		s.tlbs[owner].ClearMappingBit(v.Addr)
 	}
 }
 

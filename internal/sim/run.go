@@ -27,7 +27,7 @@ func (s *System) ResetStats() {
 	s.llc.ResetStats()
 	s.mesh.ResetStats()
 	s.mem.ResetStats()
-	s.dir.ResetStats()
+	s.inclusion = InclusionStats{}
 	s.measureStart = s.cycle
 }
 

@@ -1,8 +1,8 @@
 // Package sim composes the substrate models — out-of-order cores, private
 // L1/L2 caches, the enhanced TLB, the criticality predictor, the NUCA LLC
-// with its ReRAM wear tracking, the MESI directory, the mesh NoC and the
-// DDR3 memory — into the 16-core CMP of Table I, and runs multi-programmed
-// workloads on it. It replaces gem5 for this reproduction (see DESIGN.md).
+// with its ReRAM wear tracking, the mesh NoC and the DDR3 memory — into the
+// 16-core CMP of Table I, and runs multi-programmed workloads on it. It
+// replaces gem5 for this reproduction (see DESIGN.md).
 //
 // Timing model. Memory operations are resolved synchronously at dispatch
 // ("latency-oracle" style): the walk consults and mutates every level,
@@ -18,7 +18,6 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/noc"
@@ -58,7 +57,9 @@ type Config struct {
 // DefaultConfig returns Table I's configuration under the given policy:
 // 16 OoO cores at 2.4GHz with 128-entry ROBs, 32KB/4-way L1 (2 cycles),
 // 256KB/8-way private L2 (5 cycles), 16x2MB/16-way ReRAM L3 banks
-// (100 cycles) on a 4x4 mesh, MESI, and 4-channel DDR3.
+// (100 cycles) on a 4x4 mesh, and 4-channel DDR3. Table I's MESI directory
+// has no counterpart: each core's addresses lie in their own window, so
+// coreOf names the one private cache that can hold a line.
 func DefaultConfig(policy nuca.Policy) Config {
 	llc := nuca.DefaultConfig()
 	llc.Policy = policy
@@ -114,6 +115,18 @@ type CoreCounters struct {
 	Writebacks uint64 // L2 dirty evictions this core pushed to the LLC
 }
 
+// InclusionStats counts the inclusive LLC's back-invalidations: LLC
+// evictions of a line its owner's L2 held. A line has one possible holder,
+// the core coreOf reads from its address, so the two counters are equal.
+type InclusionStats struct {
+	Shootdowns    uint64 // LLC evictions that found the line in its owner's L2
+	Invalidations uint64 // private-cache copies those evictions invalidated
+}
+
+// Stats returns the counters, so callers written against the MESI
+// directory's System.Directory().Stats() read them unchanged.
+func (st InclusionStats) Stats() InclusionStats { return st }
+
 // System is one simulated CMP instance. A System is single-threaded — none
 // of its methods may be called concurrently — but independent Systems share
 // no mutable state (trace profile tables are read-only), so running many of
@@ -128,13 +141,13 @@ type System struct {
 	l2    []*cache.Cache
 	tlbs  []*tlb.TLB
 	llc   *nuca.LLC
-	dir   *coherence.Directory
 	mesh  *noc.Mesh
 	mem   *dram.Memory
 	wear  *rram.Wear
 
 	cycle        uint64
 	measureStart uint64
+	inclusion    InclusionStats
 
 	// Widened copies of the per-access latencies and the line mask, hoisted
 	// out of walk() (one of each conversion per memory operation otherwise).
@@ -162,9 +175,16 @@ func New(cfg Config, apps []trace.Profile) (*System, error) {
 	if cfg.ClockHz <= 0 {
 		return nil, fmt.Errorf("sim: clock %v must be positive", cfg.ClockHz)
 	}
-	// The coherence directory keys 64-byte-aligned lines.
+	// paddr and the private caches work in 64-byte lines. A shorter LLC
+	// line would leave part of an L2 line outside the inclusive LLC, which
+	// handleLLCVictim's shootdown and handleL2Victim's write-back assume.
 	if cfg.LLC.LineBytes < 64 {
-		return nil, fmt.Errorf("sim: LLC line size %d below the directory's 64 bytes", cfg.LLC.LineBytes)
+		return nil, fmt.Errorf("sim: LLC line size %d below the 64-byte L2 lines the inclusive LLC must cover", cfg.LLC.LineBytes)
+	}
+	// The CMP puts one core on each mesh tile, and R-NUCA's cluster map
+	// indexes its clusters by that tile.
+	if tiles := cfg.LLC.MeshWidth * cfg.LLC.MeshHeight; cfg.Cores > tiles {
+		return nil, fmt.Errorf("sim: %d cores exceed the %d mesh tiles; R-NUCA's cluster map holds one core per tile", cfg.Cores, tiles)
 	}
 	// Every cache sees whole physical addresses, so each geometry must
 	// leave tags narrow enough for a frame at the System's address width.
@@ -198,9 +218,6 @@ func New(cfg Config, apps []trace.Profile) (*System, error) {
 		return nil, err
 	}
 	if s.llc, err = nuca.New(cfg.LLC, s.wear); err != nil {
-		return nil, err
-	}
-	if s.dir, err = coherence.NewDirectory(cfg.Cores); err != nil {
 		return nil, err
 	}
 
@@ -276,8 +293,10 @@ func (s *System) Mesh() *noc.Mesh { return s.mesh }
 // DRAM exposes the memory model (stats).
 func (s *System) DRAM() *dram.Memory { return s.mem }
 
-// Directory exposes the coherence directory (stats).
-func (s *System) Directory() *coherence.Directory { return s.dir }
+// Directory returns the inclusive LLC's back-invalidation counters. It keeps
+// the name of the MESI directory that counted them before coreOf replaced
+// it.
+func (s *System) Directory() InclusionStats { return s.inclusion }
 
 // Core exposes a core (stats, predictor).
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/nuca"
@@ -42,17 +43,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad, testApps(16)); err == nil {
 		t.Error("zero clock must be rejected")
 	}
-	// The directory's sharer mask has 16 bits.
+	// R-NUCA's cluster map holds one core on each of the 16 mesh tiles.
 	bad = cfg
 	bad.Cores = 17
-	if _, err := New(bad, testApps(17)); err == nil {
-		t.Error("17 cores must be rejected")
+	if _, err := New(bad, testApps(17)); err == nil || !strings.Contains(err.Error(), "R-NUCA's cluster map") {
+		t.Errorf("17 cores on 16 tiles: error %v, want one naming R-NUCA's cluster map", err)
 	}
-	// The directory keys 64-byte lines.
+	// The inclusive LLC must cover whole 64-byte L2 lines.
 	bad = cfg
 	bad.LLC.LineBytes = 32
-	if _, err := New(bad, testApps(16)); err == nil {
-		t.Error("32-byte LLC lines must be rejected")
+	if _, err := New(bad, testApps(16)); err == nil || !strings.Contains(err.Error(), "inclusive LLC") {
+		t.Errorf("32-byte LLC lines: error %v, want one naming the inclusive LLC", err)
 	}
 }
 
