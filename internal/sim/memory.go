@@ -214,16 +214,7 @@ func (s *System) handleLLCVictim(v cacheVictim, t uint64) {
 	line := v.Addr &^ s.lineMask
 	owner := s.coreOf(line)
 	sanCheckSoleOwner(s, owner, line)
-	dirty := v.Dirty
-	if _, d := s.l1[owner].Invalidate(line); d {
-		dirty = true
-	}
-	if held, d := s.l2[owner].Invalidate(line); held {
-		s.inclusion.Shootdowns++
-		s.inclusion.Invalidations++
-		dirty = dirty || d
-	}
-	if dirty {
+	if s.inclusion.Shootdown(s.l1[owner], s.l2[owner], line) || v.Dirty {
 		s.mem.Access(v.Addr, t, true) // posted
 	}
 	if s.cfg.LLC.Policy == nuca.ReNUCA {

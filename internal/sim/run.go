@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/coherence"
 	"repro/internal/energy"
 	"repro/internal/nuca"
 	"repro/internal/stats"
@@ -27,7 +28,7 @@ func (s *System) ResetStats() {
 	s.llc.ResetStats()
 	s.mesh.ResetStats()
 	s.mem.ResetStats()
-	s.inclusion = InclusionStats{}
+	s.inclusion = coherence.Stats{}
 	s.measureStart = s.cycle
 }
 

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/noc"
@@ -115,18 +116,6 @@ type CoreCounters struct {
 	Writebacks uint64 // L2 dirty evictions this core pushed to the LLC
 }
 
-// InclusionStats counts the inclusive LLC's back-invalidations: LLC
-// evictions of a line its owner's L2 held. A line has one possible holder,
-// the core coreOf reads from its address, so the two counters are equal.
-type InclusionStats struct {
-	Shootdowns    uint64 // LLC evictions that found the line in its owner's L2
-	Invalidations uint64 // private-cache copies those evictions invalidated
-}
-
-// Stats returns the counters, so callers written against the MESI
-// directory's System.Directory().Stats() read them unchanged.
-func (st InclusionStats) Stats() InclusionStats { return st }
-
 // System is one simulated CMP instance. A System is single-threaded — none
 // of its methods may be called concurrently — but independent Systems share
 // no mutable state (trace profile tables are read-only), so running many of
@@ -147,7 +136,7 @@ type System struct {
 
 	cycle        uint64
 	measureStart uint64
-	inclusion    InclusionStats
+	inclusion    coherence.Stats
 
 	// Widened copies of the per-access latencies and the line mask, hoisted
 	// out of walk() (one of each conversion per memory operation otherwise).
@@ -296,7 +285,7 @@ func (s *System) DRAM() *dram.Memory { return s.mem }
 // Directory returns the inclusive LLC's back-invalidation counters. It keeps
 // the name of the MESI directory that counted them before coreOf replaced
 // it.
-func (s *System) Directory() InclusionStats { return s.inclusion }
+func (s *System) Directory() coherence.Stats { return s.inclusion }
 
 // Core exposes a core (stats, predictor).
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
