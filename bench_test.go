@@ -8,7 +8,7 @@
 // Benchmarks default to reduced windows so a full -bench=. pass stays in
 // minutes; scale up with the same environment knobs the cmd tools use
 // (RENUCA_INSTR, RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP,
-// RENUCA_SEED and the hardware knobs).
+// RENUCA_SEED and RENUCA_WORKERS).
 // Because one experiment run is already an aggregate over many simulations,
 // run with -benchtime=1x for a single regeneration.
 package repro

@@ -22,16 +22,15 @@
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
 // RENUCA_SEED, RENUCA_WORKERS.
 //
-// Hardware knobs (environment, zero/unset = the paper's Table I values):
-// RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
-// (criticality percent), RENUCA_INTRABANK_WL=1 and RENUCA_WRITE_LAT
-// (cycles). They override every 16-core simulation the run executes: the
-// policy suites, the ablations (except the knob an ablation sweeps) and
-// the energy study. The Runner folds them into its memo keys so
-// differently-configured runs can never share a cached suite.
+// Hardware is not a knob here: every run simulates the paper's Table I
+// and Table III configurations, and each ablation sets the knob it
+// sweeps. For one-off hardware runs, use renuca-sim's flags (-l2,
+// -l3bank, -rob, -threshold, -intrabank-wl, -write-latency).
 //
-// A malformed knob, a set knob of the removed FIFO bank-timing model, or a
-// negative -workers exits 2 with a one-line message naming it.
+// A malformed knob, a set removed knob (RENUCA_L2, RENUCA_L3BANK,
+// RENUCA_ROB, RENUCA_THRESHOLD, RENUCA_INTRABANK_WL, RENUCA_WRITE_LAT,
+// RENUCA_QUEUE, RENUCA_CWINDOW) or a negative -workers exits 2 with a
+// one-line message naming it.
 package main
 
 import (

@@ -21,10 +21,10 @@
 // window, their summed wait cycles, and the requests that slipped past a
 // bank busy beyond it.
 //
-// The Table I hardware knobs are flags too, for both run modes: -l2 and
-// -l3bank (bytes), -rob (entries), -threshold (criticality percent),
-// -intrabank-wl and -write-latency (cycles). Zero keeps the paper's
-// configuration.
+// The Table I hardware knobs are flags, for both run modes, and only here
+// (renuca-bench runs the paper's configurations): -l2 and -l3bank (bytes),
+// -rob (entries), -threshold (criticality percent), -intrabank-wl and
+// -write-latency (cycles). Zero keeps the paper's configuration.
 //
 // A bad flag value exits 2 with one line naming the flag: an unknown
 // -policy or -workload, -instr 0, a negative -workers, or a -write-latency

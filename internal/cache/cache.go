@@ -402,22 +402,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// CleanLine clears the dirty bit of addr if present (after a write-back has
-// been propagated downstream).
-//
-//lint:hotpath
-func (c *Cache) CleanLine(addr uint64) {
-	set, setBase, key := c.locate(addr)
-	c.sanCheckTouch(setBase)
-	low := c.low()
-	for i, w := range set {
-		if w&^low == key {
-			set[i] = w &^ c.dirtyBit
-			return
-		}
-	}
-}
-
 // reconstruct rebuilds a line's byte address from its set and line tag.
 func (c *Cache) reconstruct(set, lineTag uint64) uint64 {
 	return (lineTag<<c.setBits | set) << c.lineBits

@@ -146,16 +146,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestCleanLine(t *testing.T) {
-	c := small()
-	c.Fill(0x40, true)
-	c.CleanLine(0x40)
-	if _, dirty := c.PeekDirty(0x40); dirty {
-		t.Error("line should be clean after CleanLine")
-	}
-	c.CleanLine(0xFFFF000) // absent line: no-op, must not panic
-}
-
 func TestPeekDoesNotDisturbLRUOrStats(t *testing.T) {
 	c := small()
 	c.Fill(0x0000, false)
@@ -322,9 +312,9 @@ func (r *refLRU) invalidate(line uint64) (bool, bool) {
 	return true, d
 }
 
-// TestLRUMatchesReference runs one random Lookup, Fill, Invalidate,
-// CleanLine and Peek stream through a cache and through refLRU on 1-, 3-,
-// 4-, 8-, 12- and 16-way geometries, which between them take every path of
+// TestLRUMatchesReference runs one random Lookup, Fill, Invalidate and
+// Peek stream through a cache and through refLRU on 1-, 3-, 4-, 8-, 12-
+// and 16-way geometries, which between them take every path of
 // demoteAbove (8-, 4- and 1-byte steps). The per-set recency ranks must reproduce
 // the reference's every hit, frame, victim address and dirty bit.
 func TestLRUMatchesReference(t *testing.T) {
@@ -369,12 +359,7 @@ func TestLRUMatchesReference(t *testing.T) {
 				if p1 != p2 || d1 != d2 {
 					t.Fatalf("%d-way op %d invalidate %#x: (%v,%v), reference (%v,%v)", ways, i, addr, p1, d1, p2, d2)
 				}
-			case 6:
-				c.CleanLine(addr)
-				if set, w := ref.find(line); w >= 0 {
-					ref.sets[set][w].dirty = false
-				}
-			case 7:
+			case 6, 7:
 				p1, d1 := c.PeekDirty(addr)
 				set, w := ref.find(line)
 				if p1 != (w >= 0) || p1 && d1 != ref.sets[set][w].dirty || c.Peek(addr) != p1 {

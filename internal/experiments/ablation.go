@@ -107,11 +107,11 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 		}
 	}
 	out := make([]RotationPoint, 2)
-	r.logf("rotation", "intra-bank rotation off/on on omnetpp/xalancbmk mix (%d instr)", 10*r.P.InstrPerCore)
+	r.logf("rotation", "intra-bank rotation off/on on omnetpp/xalancbmk mix (%d instr)", 10*r.p.InstrPerCore)
 	err := r.pool.Map(2, func(i int) error {
 		rot := i == 1
 		o := r.options(core.ReNUCA)
-		o.InstrPerCore = 10 * r.P.InstrPerCore
+		o.InstrPerCore = 10 * r.p.InstrPerCore
 		o.Apps = apps
 		o.IntraBankWL = rot
 		rep, err := core.Run(o)

@@ -40,10 +40,10 @@ type ThresholdPoint struct {
 // same instruction stream — so the per-app series vary only in the
 // predictor's threshold, exactly as in the serial harness.
 func (r *Runner) ThresholdSweep() ([]ThresholdPoint, error) {
-	return memo(r.sweep, r.key("sweep"), func() ([]ThresholdPoint, error) {
+	return memo(&r.sweep, func() ([]ThresholdPoint, error) {
 		n := len(SweepApps) * len(SweepThresholds)
 		out := make([]ThresholdPoint, n)
-		r.logf("sweep", "threshold sweep: %d apps x %d thresholds (%d instr)", len(SweepApps), len(SweepThresholds), r.P.CharInstr)
+		r.logf("sweep", "threshold sweep: %d apps x %d thresholds (%d instr)", len(SweepApps), len(SweepThresholds), r.p.CharInstr)
 		err := r.pool.Map(n, func(i int) error {
 			app := SweepApps[i/len(SweepThresholds)]
 			th := SweepThresholds[i%len(SweepThresholds)]
@@ -52,13 +52,13 @@ func (r *Runner) ThresholdSweep() ([]ThresholdPoint, error) {
 				return err
 			}
 			cfg := sim.CharacterisationConfig()
-			cfg.Seed = r.P.Seed
+			cfg.Seed = r.p.Seed
 			cfg.CPT.ThresholdPct = th
 			s, err := sim.New(cfg, []trace.Profile{prof})
 			if err != nil {
 				return err
 			}
-			if _, err := s.RunMeasured(r.P.CharWarmup, r.P.CharInstr); err != nil {
+			if _, err := s.RunMeasured(r.p.CharWarmup, r.p.CharInstr); err != nil {
 				return fmt.Errorf("sweep %s@%v%%: %w", app, th, err)
 			}
 			ps := s.Core(0).Predictor().Stats()

@@ -28,6 +28,10 @@ import (
 // and measures 100M per core under gem5; these windows are sized for
 // minutes-scale wall-clock on one host CPU while preserving the paper's
 // qualitative results.
+//
+// Params carries no hardware knob. The suites run Table I and Table III's
+// configurations (Variants), each ablation sets the knob it sweeps, and
+// renuca-sim's flags reach every core.Options field for one-off runs.
 type Params struct {
 	// InstrPerCore/Warmup drive the 16-core workload experiments.
 	InstrPerCore uint64
@@ -46,18 +50,6 @@ type Params struct {
 	// It is a concurrency cap only: results are byte-identical for every
 	// worker count, and it never reaches Options.
 	Workers int
-	// The remaining fields override the corresponding core.Options
-	// hardware knobs in every simulation the Runner builds Options for:
-	// the policy suites, the ablations and the energy study (zero = keep
-	// the paper's Table I configuration). A Table III variant's own
-	// modification, or the knob an ablation sweeps, is applied after them
-	// and wins for the cell it defines.
-	L2Bytes                 uint64
-	L3BankBytes             uint64
-	ROBEntries              int
-	CriticalityThresholdPct float64
-	IntraBankWL             bool
-	ReRAMWriteLatency       uint32
 }
 
 // DefaultParams returns the standard scale.
@@ -75,72 +67,64 @@ func DefaultParams() Params {
 // RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP and RENUCA_SEED
 // environment overrides, so runs can be scaled without editing code. Each
 // must be a positive integer, as must RENUCA_WORKERS, the simulation
-// concurrency cap (unset = one worker per CPU). renuca-bench passes
-// DefaultParams; the repository benchmarks pass their reduced windows.
+// concurrency cap (unset = one worker per CPU). An unset or empty knob
+// keeps base's value. renuca-bench passes DefaultParams; the repository
+// benchmarks pass their reduced windows.
 //
-// The hardware knobs have overrides too: RENUCA_L2 and RENUCA_L3BANK
-// (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD (criticality percent),
-// RENUCA_INTRABANK_WL (a boolean) and RENUCA_WRITE_LAT (cycles). Zero
-// selects the paper's Table I configuration; unset keeps base's value.
-//
-// A malformed value is an error, as is a set RENUCA_QUEUE or
-// RENUCA_CWINDOW: those knobs selected a bank-timing model that no longer
-// exists, and ignoring them would silently change a script's results.
+// A malformed value is an error, as is a set removed knob (removedKnobs):
+// ignoring one would silently run a script at a configuration it did not
+// ask for.
 func ParamsFromEnv(base Params) (Params, error) {
 	p := base
 	var errs []error
-	for _, name := range []string{"RENUCA_QUEUE", "RENUCA_CWINDOW"} {
-		if os.Getenv(name) != "" {
-			errs = append(errs, fmt.Errorf("%s was removed: the windowed bank-timing model is the only one; unset it", name))
+	for _, k := range removedKnobs {
+		if os.Getenv(k.name) != "" {
+			errs = append(errs, fmt.Errorf("%s was removed: %s; unset it", k.name, k.why))
 		}
 	}
-	parse := func(name string, bits int, positive bool, dst func(uint64)) {
+	scale := func(name string, dst *uint64) {
 		v := os.Getenv(name)
 		if v == "" {
 			return
 		}
-		n, err := strconv.ParseUint(v, 10, bits)
+		n, err := strconv.ParseUint(v, 10, 64)
 		switch {
 		case err != nil:
-			errs = append(errs, fmt.Errorf("%s=%q: not a non-negative %d-bit integer", name, v, bits))
-		case positive && n == 0:
+			errs = append(errs, fmt.Errorf("%s=%q: not a non-negative 64-bit integer", name, v))
+		case n == 0:
 			errs = append(errs, fmt.Errorf("%s=%q: must be positive", name, v))
 		default:
-			dst(n)
+			*dst = n
 		}
 	}
-	scale := func(name string, dst *uint64) { parse(name, 64, true, func(n uint64) { *dst = n }) }
 	scale("RENUCA_INSTR", &p.InstrPerCore)
 	scale("RENUCA_WARMUP", &p.Warmup)
 	scale("RENUCA_CHAR_INSTR", &p.CharInstr)
 	scale("RENUCA_CHAR_WARMUP", &p.CharWarmup)
 	scale("RENUCA_SEED", &p.Seed)
-	parse("RENUCA_L2", 64, false, func(n uint64) { p.L2Bytes = n })
-	parse("RENUCA_L3BANK", 64, false, func(n uint64) { p.L3BankBytes = n })
-	parse("RENUCA_ROB", 31, false, func(n uint64) { p.ROBEntries = int(n) })
-	parse("RENUCA_WRITE_LAT", 32, false, func(n uint64) { p.ReRAMWriteLatency = uint32(n) })
-	if v := os.Getenv("RENUCA_THRESHOLD"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(f >= 0 && f <= 100) {
-			errs = append(errs, fmt.Errorf("RENUCA_THRESHOLD=%q: not a percentage in [0, 100]", v))
-		} else {
-			p.CriticalityThresholdPct = f
-		}
-	}
-	if v := os.Getenv("RENUCA_INTRABANK_WL"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("RENUCA_INTRABANK_WL=%q: not a boolean (1, 0, true, false)", v))
-		} else {
-			p.IntraBankWL = b
-		}
-	}
 	if n, err := pool.DefaultWorkers(0); err != nil {
 		errs = append(errs, err)
 	} else {
 		p.Workers = n
 	}
 	return p, errors.Join(errs...)
+}
+
+// removedKnobs are the RENUCA_* variables ParamsFromEnv no longer reads,
+// each with what replaced it.
+var removedKnobs = []struct{ name, why string }{
+	{"RENUCA_QUEUE", "the windowed bank-timing model is the only one"},
+	{"RENUCA_CWINDOW", "the windowed bank-timing model is the only one"},
+	{"RENUCA_L2", hardwareFlag("-l2")},
+	{"RENUCA_L3BANK", hardwareFlag("-l3bank")},
+	{"RENUCA_ROB", hardwareFlag("-rob")},
+	{"RENUCA_THRESHOLD", hardwareFlag("-threshold")},
+	{"RENUCA_INTRABANK_WL", hardwareFlag("-intrabank-wl")},
+	{"RENUCA_WRITE_LAT", hardwareFlag("-write-latency")},
+}
+
+func hardwareFlag(flag string) string {
+	return "renuca-bench runs the paper's configurations; use renuca-sim " + flag
 }
 
 // Variant is one system configuration of Table III's rows.
@@ -171,25 +155,26 @@ func VariantByKey(key string) (Variant, error) {
 	return Variant{}, fmt.Errorf("experiments: unknown variant %q", key)
 }
 
-// Runner executes experiments with memoisation: the policy suites, the
-// characterisation table and the threshold sweep are computed once per
-// configuration and shared by every experiment that reads them. Each
-// experiment sends its simulations through the Runner's pool one batch at a
-// time, so at most P.Workers simulations run at once. A Runner is not safe
-// for concurrent use.
+// Runner executes experiments with memoisation: the policy suites (per
+// variant), the characterisation table and the threshold sweep are
+// computed once and shared by every experiment that reads them. Its Params
+// are fixed at NewRunner, so a memoised result can never belong to another
+// configuration. Each experiment sends its simulations through the
+// Runner's pool one batch at a time, so at most Params.Workers simulations
+// run at once. A Runner is not safe for concurrent use.
 type Runner struct {
-	P Params
 	// Log, when non-nil, receives one progress line per simulation batch
 	// (suites take tens of seconds; the harness reports what it is doing),
 	// prefixed with the suite or phase that produced it.
 	Log func(format string, args ...any)
 
+	p    Params
 	pool *pool.Pool
 	sims uint64
 
-	suites map[memoKey]map[string]core.SuiteReport
-	table2 map[memoKey][]Table2Row
-	sweep  map[memoKey][]ThresholdPoint
+	suites map[string]map[string]core.SuiteReport // by variant key
+	table2 []Table2Row
+	sweep  []ThresholdPoint
 }
 
 // NewRunner builds a Runner with the given parameters. It panics if
@@ -201,11 +186,9 @@ func NewRunner(p Params) *Runner {
 		panic(err)
 	}
 	return &Runner{
-		P:      p,
+		p:      p,
 		pool:   pool.New(n),
-		suites: make(map[memoKey]map[string]core.SuiteReport),
-		table2: make(map[memoKey][]Table2Row),
-		sweep:  make(map[memoKey][]ThresholdPoint),
+		suites: make(map[string]map[string]core.SuiteReport),
 	}
 }
 
@@ -230,21 +213,13 @@ func (r *Runner) logf(key, format string, args ...any) {
 func (r *Runner) workloads() []workload.Workload { return core.StandardWorkloads() }
 
 // options resolves the Options every simulation the Runner builds starts
-// from: the policy's Table I defaults, the Params window and seed, then the
-// Params hardware overrides (zero = Table I default, matching the Options
-// zero value, so copying unconditionally changes nothing at default
-// scale). Callers set only what their study varies on top.
+// from: the policy's Table I defaults with the Params window and seed.
+// Callers set only what their study varies on top.
 func (r *Runner) options(p core.Policy) core.Options {
 	o := core.DefaultOptions(p)
-	o.InstrPerCore = r.P.InstrPerCore
-	o.Warmup = r.P.Warmup
-	o.Seed = r.P.Seed
-	o.L2Bytes = r.P.L2Bytes
-	o.L3BankBytes = r.P.L3BankBytes
-	o.ROBEntries = r.P.ROBEntries
-	o.CriticalityThresholdPct = r.P.CriticalityThresholdPct
-	o.IntraBankWL = r.P.IntraBankWL
-	o.ReRAMWriteLatency = r.P.ReRAMWriteLatency
+	o.InstrPerCore = r.p.InstrPerCore
+	o.Warmup = r.p.Warmup
+	o.Seed = r.p.Seed
 	return o
 }
 
@@ -255,41 +230,22 @@ func (r *Runner) options(p core.Policy) core.Options {
 // core.SuiteUnits.
 func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 	o := r.options(p)
-	o.Seed = core.DeriveSeed(r.P.Seed, v.Key, p.String())
+	o.Seed = core.DeriveSeed(r.p.Seed, v.Key, p.String())
 	v.Mod(&o)
 	return o
 }
 
-// memoKey identifies one memoised computation: what was computed (a
-// variant key, "table2", "sweep") under which Params. A Runner's P is
-// exported and mutable between calls, and "same kind, different Params"
-// would silently return the other configuration's results; carrying the
-// whole Params struct puts every field, present and future, in the key.
-type memoKey struct {
-	kind string
-	p    Params
-}
-
-// key builds the memo key for kind under the current Params. Workers is
-// zeroed: results are byte-identical for every worker count, so keeping it
-// would only fragment the cache.
-func (r *Runner) key(kind string) memoKey {
-	p := r.P
-	p.Workers = 0
-	return memoKey{kind: kind, p: p}
-}
-
-// memo returns m[k], computing and storing it with fn on a miss. A failed
-// computation stores nothing, so a later call retries.
-func memo[V any](m map[memoKey]V, k memoKey, fn func() (V, error)) (V, error) {
-	if v, ok := m[k]; ok {
-		return v, nil
+// memo returns *slot, computing and storing it with fn while it is nil.
+// A failed computation stores nothing, so a later call retries.
+func memo[V any](slot *[]V, fn func() ([]V, error)) ([]V, error) {
+	if *slot != nil {
+		return *slot, nil
 	}
 	v, err := fn()
 	if err != nil {
-		return v, err
+		return nil, err
 	}
-	m[k] = v
+	*slot = v
 	return v, nil
 }
 
@@ -298,7 +254,7 @@ func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 	if err := r.runSuites([]Variant{v}); err != nil {
 		return nil, err
 	}
-	return r.suites[r.key(v.Key)], nil
+	return r.suites[v.Key], nil
 }
 
 // runSuites runs the five-policy suites of every variant in vs that is not
@@ -315,7 +271,7 @@ func (r *Runner) runSuites(vs []Variant) error {
 		units []core.Unit
 	)
 	for _, v := range vs {
-		if _, ok := r.suites[r.key(v.Key)]; ok {
+		if _, ok := r.suites[v.Key]; ok {
 			continue
 		}
 		todo = append(todo, v)
@@ -328,7 +284,7 @@ func (r *Runner) runSuites(vs []Variant) error {
 		return nil
 	}
 	variants := strings.Join(keys, ",")
-	r.logf("suites", "%s: %d policies x %d workloads x %d instr/core", variants, len(policies), len(wls), r.P.InstrPerCore)
+	r.logf("suites", "%s: %d policies x %d workloads x %d instr/core", variants, len(policies), len(wls), r.p.InstrPerCore)
 	reports, err := core.RunUnitsOn(r.pool, units)
 	if err != nil {
 		return fmt.Errorf("variants %s: %w", variants, err)
@@ -340,7 +296,7 @@ func (r *Runner) runSuites(vs []Variant) error {
 			first := (i*len(policies) + j) * len(wls)
 			set[p.String()] = core.AggregateSuite(p.String(), reports[first:first+len(wls)])
 		}
-		r.suites[r.key(v.Key)] = set
+		r.suites[v.Key] = set
 	}
 	return nil
 }

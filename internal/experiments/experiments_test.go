@@ -24,17 +24,12 @@ func TestParamsFromEnv(t *testing.T) {
 	t.Setenv("RENUCA_CHAR_WARMUP", "55")
 	t.Setenv("RENUCA_SEED", "9")
 	t.Setenv("RENUCA_WORKERS", "6")
-	t.Setenv("RENUCA_ROB", "168")
-	t.Setenv("RENUCA_INTRABANK_WL", "true")
 	p, err := ParamsFromEnv(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.InstrPerCore != 1234 || p.Warmup != 99 || p.CharInstr != 777 || p.CharWarmup != 55 || p.Seed != 9 {
 		t.Errorf("env not applied: %+v", p)
-	}
-	if p.ROBEntries != 168 || !p.IntraBankWL {
-		t.Errorf("hardware env not applied: %+v", p)
 	}
 	if p.Workers != 6 {
 		t.Errorf("RENUCA_WORKERS not applied: %d", p.Workers)
@@ -44,12 +39,11 @@ func TestParamsFromEnv(t *testing.T) {
 	}
 
 	// An unset knob keeps the base's value, default or not.
-	for _, name := range []string{"RENUCA_INSTR", "RENUCA_WARMUP", "RENUCA_CHAR_INSTR", "RENUCA_CHAR_WARMUP", "RENUCA_SEED", "RENUCA_ROB", "RENUCA_INTRABANK_WL"} {
+	for _, name := range []string{"RENUCA_INSTR", "RENUCA_WARMUP", "RENUCA_CHAR_INSTR", "RENUCA_CHAR_WARMUP", "RENUCA_SEED"} {
 		t.Setenv(name, "")
 	}
 	base := tinyParams()
 	base.Seed = 7
-	base.L2Bytes = 128 << 10
 	got, err := ParamsFromEnv(base)
 	if err != nil {
 		t.Fatal(err)
@@ -62,13 +56,15 @@ func TestParamsFromEnv(t *testing.T) {
 		t.Errorf("unset environment changed the base:\n got %+v\nwant %+v", got, base)
 	}
 
-	// Malformed values and the removed bank-timing knobs are errors that
-	// name the variable, never a silent fall back to the default.
+	// Malformed values and the removed knobs, at any value, are errors
+	// that name the variable, never a silent fall back to the default.
 	for _, c := range []struct{ name, value string }{
 		{"RENUCA_INSTR", "garbage"},
 		{"RENUCA_INSTR", "0"},
 		{"RENUCA_SEED", "-3"},
 		{"RENUCA_ROB", "-1"},
+		{"RENUCA_ROB", "168"},
+		{"RENUCA_L3BANK", "0"},
 		{"RENUCA_L2", "256k"},
 		{"RENUCA_WRITE_LAT", "5000000000"},
 		{"RENUCA_THRESHOLD", "NaN"},
@@ -385,26 +381,5 @@ func TestContentionAddsNoSimulations(t *testing.T) {
 	}
 	if len(cr.Policies) != 5 || cr.Queue["S-NUCA"].ReadQueued == 0 {
 		t.Errorf("contention view incomplete: %+v", cr)
-	}
-}
-
-// TestAblationHonoursHardwareOverrides pins that the ablations build their
-// Options through the Runner like the suites do: a Params hardware
-// override (here a small ROB) must change an ablation's results.
-func TestAblationHonoursHardwareOverrides(t *testing.T) {
-	base, err := NewRunner(tinyParams()).Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tinyParams()
-	p.ROBEntries = 16
-	small, err := NewRunner(p).Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base {
-		if base[i].MeanIPC == small[i].MeanIPC {
-			t.Errorf("x=%v%%: mean IPC %.4f with a 16-entry ROB, same as Table I's 128", base[i].ThresholdPct, base[i].MeanIPC)
-		}
 	}
 }

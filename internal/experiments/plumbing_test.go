@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -31,21 +33,8 @@ func fieldNames(typ reflect.Type) []string {
 // returns ParamsFromEnv(DefaultParams()).
 func everyKnobParams(t *testing.T) Params {
 	t.Helper()
-	for name, v := range map[string]string{
-		"RENUCA_INSTR":        "1234",
-		"RENUCA_WARMUP":       "99",
-		"RENUCA_CHAR_INSTR":   "777",
-		"RENUCA_CHAR_WARMUP":  "55",
-		"RENUCA_SEED":         "9",
-		"RENUCA_WORKERS":      "3",
-		"RENUCA_L2":           "131072",
-		"RENUCA_L3BANK":       "1048576",
-		"RENUCA_ROB":          "168",
-		"RENUCA_THRESHOLD":    "25",
-		"RENUCA_INTRABANK_WL": "1",
-		"RENUCA_WRITE_LAT":    "250",
-	} {
-		t.Setenv(name, v)
+	for _, k := range envKnobs {
+		t.Setenv(k.name, k.value)
 	}
 	p, err := ParamsFromEnv(DefaultParams())
 	if err != nil {
@@ -71,11 +60,11 @@ func TestEnvKnobsSetEveryParam(t *testing.T) {
 // pins, which must leave it alone.
 func TestRunnerOptionsReadEveryParam(t *testing.T) {
 	set := reflect.ValueOf(everyKnobParams(t))
-	base := (&Runner{P: DefaultParams()}).options(core.ReNUCA)
+	base := (&Runner{p: DefaultParams()}).options(core.ReNUCA)
 	for _, name := range fieldNames(set.Type()) {
 		p := DefaultParams()
 		reflect.ValueOf(&p).Elem().FieldByName(name).Set(set.FieldByName(name))
-		changed := !reflect.DeepEqual((&Runner{P: p}).options(core.ReNUCA), base)
+		changed := !reflect.DeepEqual((&Runner{p: p}).options(core.ReNUCA), base)
 		reason, exempt := notInOptions[name]
 		switch {
 		case exempt && changed:
@@ -91,18 +80,79 @@ func TestRunnerOptionsReadEveryParam(t *testing.T) {
 	}
 }
 
-// TestParamsReachEveryOption requires every core.Options field that a
-// study does not set itself (Policy and Apps) to be reached from some
-// Params field, so renuca-bench can set it.
-func TestParamsReachEveryOption(t *testing.T) {
-	def := reflect.ValueOf((&Runner{P: DefaultParams()}).options(core.ReNUCA))
-	set := reflect.ValueOf((&Runner{P: everyKnobParams(t)}).options(core.ReNUCA))
-	for _, name := range fieldNames(def.Type()) {
-		if name == "Policy" || name == "Apps" {
-			continue
+// envKnobs maps each knob ParamsFromEnv reads to the Params field it sets,
+// with a valid value other than DefaultParams'.
+var envKnobs = []struct{ name, field, value string }{
+	{"RENUCA_INSTR", "InstrPerCore", "1234"},
+	{"RENUCA_WARMUP", "Warmup", "99"},
+	{"RENUCA_CHAR_INSTR", "CharInstr", "777"},
+	{"RENUCA_CHAR_WARMUP", "CharWarmup", "55"},
+	{"RENUCA_SEED", "Seed", "9"},
+	{"RENUCA_WORKERS", "Workers", "3"},
+}
+
+// removedEnvKnobs are the knobs ParamsFromEnv must reject when set, listed
+// apart from removedKnobs so that dropping one there fails here.
+var removedEnvKnobs = []string{
+	"RENUCA_QUEUE", "RENUCA_CWINDOW", "RENUCA_L2", "RENUCA_L3BANK",
+	"RENUCA_ROB", "RENUCA_THRESHOLD", "RENUCA_INTRABANK_WL", "RENUCA_WRITE_LAT",
+}
+
+// FuzzParamsFromEnv sets one knob, read or removed, to an arbitrary value;
+// knob indexes envKnobs and then removedEnvKnobs, modulo their total. A read
+// knob yields either an error naming it or the all-unset result with
+// exactly its field set to the value. A set removed knob is always an
+// error naming it. An empty value is unset.
+func FuzzParamsFromEnv(f *testing.F) {
+	f.Fuzz(func(t *testing.T, knob uint8, value string) {
+		if strings.IndexByte(value, 0) >= 0 {
+			t.Skip("t.Setenv cannot set a value containing NUL")
 		}
-		if reflect.DeepEqual(def.FieldByName(name).Interface(), set.FieldByName(name).Interface()) {
-			t.Errorf("no Params field reaches Options.%s", name)
+		for _, k := range envKnobs {
+			t.Setenv(k.name, "")
 		}
-	}
+		for _, name := range removedEnvKnobs {
+			t.Setenv(name, "")
+		}
+		unset, err := ParamsFromEnv(DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		i := int(knob) % (len(envKnobs) + len(removedEnvKnobs))
+		if i >= len(envKnobs) {
+			name := removedEnvKnobs[i-len(envKnobs)]
+			t.Setenv(name, value)
+			_, err := ParamsFromEnv(DefaultParams())
+			if (err != nil) != (value != "") || err != nil && !strings.Contains(err.Error(), name) {
+				t.Errorf("%s=%q: err = %v, want an error naming %s exactly when it is set", name, value, err, name)
+			}
+			return
+		}
+
+		k := envKnobs[i]
+		t.Setenv(k.name, value)
+		got, err := ParamsFromEnv(DefaultParams())
+		if err != nil {
+			if value == "" || !strings.Contains(err.Error(), k.name) {
+				t.Errorf("%s=%q: err = %v, want none when unset, else one naming %s", k.name, value, err, k.name)
+			}
+			return
+		}
+		want := unset
+		if value != "" {
+			n, perr := strconv.ParseUint(strings.TrimPrefix(value, "+"), 10, 64)
+			if perr != nil || n == 0 {
+				t.Fatalf("%s=%q accepted, but it is not a positive integer", k.name, value)
+			}
+			if fv := reflect.ValueOf(&want).Elem().FieldByName(k.field); fv.CanUint() {
+				fv.SetUint(n)
+			} else {
+				fv.SetInt(int64(n))
+			}
+		}
+		if got != want {
+			t.Errorf("%s=%q:\n got %+v\nwant %+v", k.name, value, got, want)
+		}
+	})
 }

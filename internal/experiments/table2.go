@@ -29,10 +29,10 @@ type Table2Row struct {
 // The applications characterise in parallel on the Runner's pool — each on
 // its own single-core System — with rows collected in AppNames order.
 func (r *Runner) Table2() ([]Table2Row, error) {
-	return memo(r.table2, r.key("table2"), func() ([]Table2Row, error) {
+	return memo(&r.table2, func() ([]Table2Row, error) {
 		names := trace.AppNames()
 		rows := make([]Table2Row, len(names))
-		r.logf("char", "characterising %d applications (%d instr)", len(names), r.P.CharInstr)
+		r.logf("char", "characterising %d applications (%d instr)", len(names), r.p.CharInstr)
 		err := r.pool.Map(len(names), func(i int) error {
 			name := names[i]
 			prof, err := trace.ProfileFor(name)
@@ -40,12 +40,12 @@ func (r *Runner) Table2() ([]Table2Row, error) {
 				return err
 			}
 			cfg := sim.CharacterisationConfig()
-			cfg.Seed = r.P.Seed
+			cfg.Seed = r.p.Seed
 			s, err := sim.New(cfg, []trace.Profile{prof})
 			if err != nil {
 				return err
 			}
-			res, err := s.RunMeasured(r.P.CharWarmup, r.P.CharInstr)
+			res, err := s.RunMeasured(r.p.CharWarmup, r.p.CharInstr)
 			if err != nil {
 				return fmt.Errorf("characterising %s: %w", name, err)
 			}

@@ -446,11 +446,11 @@ func (l *LLC) recordWriteCriticality(critical bool) {
 	}
 }
 
-// FillBank returns the bank a new line for addr/core/critical would be
-// installed into, without installing it (used by the simulator for timing).
+// fillBank returns the bank Fill installs a new line for addr/core/critical
+// into: the policy's placement decision.
 //
 //lint:hotpath
-func (l *LLC) FillBank(addr uint64, core int, critical bool) int {
+func (l *LLC) fillBank(addr uint64, core int, critical bool) int {
 	switch l.cfg.Policy {
 	case SNUCA:
 		return l.snucaBank(addr)
@@ -489,7 +489,7 @@ func (l *LLC) FillBank(addr uint64, core int, critical bool) int {
 //lint:hotpath
 func (l *LLC) Fill(addr uint64, core int, critical, dirty bool) FillResult {
 	l.sanCheckFill(addr)
-	bank := l.FillBank(addr, core, critical)
+	bank := l.fillBank(addr, core, critical)
 	victim, frame := l.banks[bank].FillFrame(addr, dirty)
 	l.wear.RecordWrite(bank, l.wearFrame(bank, frame))
 	l.recordWriteCriticality(critical)
